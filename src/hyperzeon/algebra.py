@@ -6,14 +6,19 @@ idempotent (the generator squares to itself).  Mixed signatures cover tensor
 products such as "n zeon generators times m idempotent generators" with a single
 flat id space.  Elements are immutable sparse sums of monomials with exact
 integer or rational coefficients; all operations are pure functions.
+
+Internally every monomial is one packed ``int`` (see :class:`Signature`), and
+:func:`mul_into` is the only product of monomials.  The public view of an
+element's terms keeps canonical tuple monomials.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import ContextError
 
@@ -57,9 +62,19 @@ class Signature:
     between the factors.  Two signatures are equal when their rules agree;
     display names are cosmetic and kept per generator as (symbol, subscript)
     for deterministic rendering.
+
+    Packed monomials: generator g owns a bit field starting at ``_shifts[g]``,
+    fields laid out in id order from the low bits.  An idempotent field is one
+    bit.  A nilpotent field of index c holds the exponent in
+    v = max(1, (c-1).bit_length()) value bits followed by one guard bit, and
+    carries a bias of 2**v - c.  Adding two exponents plus the bias sets the
+    guard bit exactly when their sum reaches c, so one addition multiplies all
+    nilpotent fields at once and one mask test finds a vanished product.
     """
 
-    __slots__ = ("rules", "names", "_caps")
+    __slots__ = (
+        "rules", "names", "_caps", "_shifts", "_values", "_bit_gid", "_idem", "_bias", "_guard",
+    )
 
     def __init__(self, rules: Iterable[GeneratorRule], names=None):
         self.rules = tuple(rules)
@@ -73,8 +88,30 @@ class Signature:
             if len(names) != len(self.rules):
                 raise ValueError("one display name required per generator")
         self.names = names
-        # 0 encodes "idempotent" in the hot multiplication path
+        # 0 encodes "idempotent"
         self._caps = tuple(0 if r.is_idempotent else r.nilpotent_index for r in self.rules)
+        shifts, values, bit_gid = [], [], []
+        idem = bias = guard = 0
+        shift = 0
+        for gid, cap in enumerate(self._caps):
+            shifts.append(shift)
+            if cap:
+                v = max(1, (cap - 1).bit_length())
+                bias |= ((1 << v) - cap) << shift
+                guard |= 1 << (shift + v)
+                width = v + 1
+            else:
+                v = width = 1
+                idem |= 1 << shift
+            values.append((1 << v) - 1)
+            bit_gid.extend([gid] * width)
+            shift += width
+        self._shifts = tuple(shifts)
+        self._values = tuple(values)  # value-bit mask of each field, unshifted
+        self._bit_gid = tuple(bit_gid)
+        self._idem = idem
+        self._bias = bias
+        self._guard = guard
 
     @staticmethod
     def _default_name(rule: GeneratorRule, i: int):
@@ -126,6 +163,66 @@ class Signature:
     def zero(self) -> "Element":
         return Element.scalar(self, 0)
 
+    # -- packed monomials ------------------------------------------------------
+
+    def encode(self, monomial) -> int | None:
+        """Packed key of ((gid, exp), ...) in any order, or None when a nilpotent power saturates.
+
+        Repeated generators accumulate and idempotent exponents collapse to 1.
+        """
+        caps, shifts, values = self._caps, self._shifts, self._values
+        key = 0
+        for gid, exp in monomial:
+            if not 0 <= gid < len(caps):
+                raise ValueError(f"generator id {gid} out of range")
+            if exp < 1:
+                raise ValueError(f"exponent must be >= 1, got {exp}")
+            shift = shifts[gid]
+            cap = caps[gid]
+            if cap:
+                field = values[gid] << shift
+                exp += (key & field) >> shift
+                if exp >= cap:
+                    return None
+                key = (key & ~field) | (exp << shift)
+            else:
+                key |= 1 << shift
+        return key
+
+    def decode(self, key: int) -> Monomial:
+        """The canonical tuple monomial of a packed key."""
+        out = []
+        bit_gid, shifts, values = self._bit_gid, self._shifts, self._values
+        while key:
+            g = bit_gid[(key & -key).bit_length() - 1]
+            shift = shifts[g]
+            exp = (key >> shift) & values[g]
+            out.append((g, exp))
+            key ^= exp << shift
+        return tuple(out)
+
+    def mask(self, gids: Iterable[int]) -> int:
+        """The value bits of the given generators' fields.
+
+        ``key & sig.mask(gids)`` keeps only those generators of a packed key.
+        Idempotent and index-2 fields hold a single bit, so over such
+        generators ``key & m == m`` tests that all of them are present.
+        """
+        out = 0
+        for g in gids:
+            out |= self._values[g] << self._shifts[g]
+        return out
+
+    def _lookup_key(self, monomial) -> int | None:
+        """Packed key of a canonical tuple monomial; None for anything else."""
+        try:
+            key = self.encode(monomial)
+        except (TypeError, ValueError):
+            return None
+        if key is None or self.decode(key) != monomial:
+            return None
+        return key
+
     def render_monomial(self, monomial: Monomial) -> str:
         """Deterministic text for one monomial, multi-index style (e.g. ζ{1,2}ε3)."""
         if not monomial:
@@ -157,46 +254,79 @@ class Signature:
         return "".join(parts)
 
 
-def _merge_monomials(caps, ma: Monomial, mb: Monomial):
-    """Product of two canonical monomials, or None when a nilpotent power saturates."""
-    if not ma:
-        return mb
-    if not mb:
-        return ma
-    out = []
-    ia = ib = 0
-    la, lb = len(ma), len(mb)
-    while ia < la and ib < lb:
-        pa = ma[ia]
-        pb = mb[ib]
-        if pa[0] < pb[0]:
-            out.append(pa)
-            ia += 1
-        elif pb[0] < pa[0]:
-            out.append(pb)
-            ib += 1
-        else:
-            cap = caps[pa[0]]
-            if cap:
-                e = pa[1] + pb[1]
-                if e >= cap:
-                    return None
-                out.append((pa[0], e))
-            else:
-                out.append((pa[0], 1))
-            ia += 1
-            ib += 1
-    out.extend(ma[ia:])
-    out.extend(mb[ib:])
-    return tuple(out)
+def mul_into(acc: dict, a: "Element", b: "Element") -> dict:
+    """Add the product a*b into ``acc`` (packed monomial -> coefficient) and return it.
+
+    ``acc`` belongs to the caller and may already hold terms; entries can reach
+    zero along the way, and :meth:`Element.from_packed` drops them at the end.
+    """
+    sig = a.signature
+    if b.signature is not sig and b.signature != sig:
+        raise ContextError("elements belong to different signatures")
+    if len(a._terms) < len(b._terms):
+        a, b = b, a  # the product commutes; split the smaller operand
+    idem, bias, guard = sig._idem, sig._bias, sig._guard
+    # s = a + (b & N) + BIAS: no field carries out, so a's idempotent bits pass
+    # through the sum unchanged and b's are OR-ed in afterwards
+    inner = [((m & ~idem) + bias, m & idem, c) for m, c in b._terms.items()]
+    get = acc.get
+    for ma, ca in a._terms.items():
+        for bn, bi, cb in inner:
+            s = ma + bn
+            if s & guard:
+                continue
+            m = (s - bias) | bi
+            acc[m] = get(m, 0) + ca * cb
+    return acc
+
+
+class _Terms(Mapping):
+    """Read-only view of packed terms keyed by canonical tuple monomials."""
+
+    __slots__ = ("_sig", "_terms")
+
+    def __init__(self, signature: Signature, terms: dict):
+        self._sig = signature
+        self._terms = terms
+
+    def __getitem__(self, monomial):
+        key = self._sig._lookup_key(monomial)
+        if key is None or key not in self._terms:
+            raise KeyError(monomial)
+        return self._terms[key]
+
+    def __iter__(self) -> Iterator[Monomial]:
+        return map(self._sig.decode, self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return self._terms.values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _TermItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        decode = self._mapping._sig.decode
+        for key, coeff in self._mapping._terms.items():
+            yield decode(key), coeff
 
 
 class Element:
     """An immutable sparse sum of monomials with exact coefficients.
 
-    Stored terms never include zero coefficients and every monomial is canonical
-    for the signature, so equality is plain dict equality.  Arithmetic accepts
-    ints and Fractions on either side and lifts them to scalar elements.
+    Stored terms never include zero coefficients and every monomial is a
+    packed key of the signature, so equality is plain dict equality.
+    Arithmetic accepts ints and Fractions on either side and lifts them to
+    scalar elements.
     """
 
     __slots__ = ("signature", "_terms")
@@ -204,63 +334,53 @@ class Element:
     def __init__(self, signature: Signature, terms=(), *, _raw: bool = False):
         self.signature = signature
         if _raw:
+            # packed keys, canonical, no zero coefficients
             self._terms = terms
             return
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Monomial, Coeff] = {}
+        acc: dict[int, Coeff] = {}
         for monomial, coeff in items:
-            m = self._canonical(signature, monomial)
-            if m is None or coeff == 0:
-                continue
-            c = acc.get(m)
-            c = coeff if c is None else c + coeff
-            if c == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = c
-        self._terms = acc
-
-    @staticmethod
-    def _canonical(signature: Signature, monomial) -> Monomial | None:
-        caps = signature._caps
-        exps: dict[int, int] = {}
-        for gid, exp in monomial:
-            if not 0 <= gid < len(caps):
-                raise ValueError(f"generator id {gid} out of range")
-            if exp < 1:
-                raise ValueError(f"exponent must be >= 1, got {exp}")
-            exps[gid] = exps.get(gid, 0) + exp
-        out = []
-        for gid in sorted(exps):
-            cap = caps[gid]
-            if cap:
-                if exps[gid] >= cap:
-                    return None
-                out.append((gid, exps[gid]))
-            else:
-                out.append((gid, 1))
-        return tuple(out)
+            m = signature.encode(monomial)
+            if m is not None:
+                acc[m] = acc.get(m, 0) + coeff
+        self._terms = {m: c for m, c in acc.items() if c != 0}
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def scalar(cls, signature: Signature, value: Coeff) -> "Element":
-        return cls(signature, {} if value == 0 else {UNIT: value}, _raw=True)
+        return cls(signature, {} if value == 0 else {0: value}, _raw=True)
 
     @classmethod
     def blade(cls, signature: Signature, gids: Iterable[int], coeff: Coeff = 1) -> "Element":
         """coeff times the product of the given generators (repeats accumulate)."""
         return cls(signature, [(tuple((g, 1) for g in gids), coeff)])
 
+    @classmethod
+    def from_packed(cls, signature: Signature, terms: dict) -> "Element":
+        """The element of packed terms, such as a :func:`mul_into` accumulator.
+
+        Zero coefficients are dropped; the element takes ownership of ``terms``.
+        """
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c != 0}
+        return cls(signature, terms, _raw=True)
+
     # -- views -----------------------------------------------------------
 
     @property
     def terms(self) -> Mapping[Monomial, Coeff]:
+        """Terms keyed by canonical tuple monomials, decoded on iteration."""
+        return _Terms(self.signature, self._terms)
+
+    @property
+    def packed(self) -> Mapping[int, Coeff]:
+        """Terms keyed by packed monomials (see :class:`Signature`)."""
         return MappingProxyType(self._terms)
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         """Terms in the deterministic rendering order (grade, then exponent vector)."""
-        return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -325,18 +445,7 @@ class Element:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        caps = self.signature._caps
-        acc: dict[Monomial, Coeff] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in rhs._terms.items():
-                m = _merge_monomials(caps, ma, mb)
-                if m is None:
-                    continue
-                c = acc.get(m)
-                acc[m] = ca * cb if c is None else c + ca * cb
-        if any(c == 0 for c in acc.values()):
-            acc = {m: c for m, c in acc.items() if c != 0}
-        return Element(self.signature, acc, _raw=True)
+        return Element.from_packed(self.signature, mul_into({}, self, rhs))
 
     __rmul__ = __mul__
 
@@ -345,29 +454,34 @@ class Element:
         # and a vanished partial product short-circuits the rest.
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-        out = Element.scalar(self.signature, 1)
-        for _ in range(k):
-            out = out * self
+        if k == 0:
+            return Element.scalar(self.signature, 1)
+        out = self
+        for _ in range(k - 1):
             if not out:
                 break
+            out = Element.from_packed(self.signature, mul_into({}, out, self))
         return out
 
     # -- structure queries -------------------------------------------------
 
     def scalar_part(self) -> Coeff:
-        return self._terms.get(UNIT, 0)
+        return self._terms.get(0, 0)
 
     def dual_part(self) -> "Element":
-        if UNIT not in self._terms:
+        if 0 not in self._terms:
             return self
         acc = dict(self._terms)
-        del acc[UNIT]
+        del acc[0]
         return Element(self.signature, acc, _raw=True)
 
     def grade_part(self, k: int) -> "Element":
         """Terms whose monomial involves exactly k distinct generators."""
+        decode = self.signature.decode
         return Element(
-            self.signature, {m: c for m, c in self._terms.items() if len(m) == k}, _raw=True
+            self.signature,
+            {m: c for m, c in self._terms.items() if len(decode(m)) == k},
+            _raw=True,
         )
 
     def scalar_sum(self) -> Coeff:
@@ -377,7 +491,8 @@ class Element:
         """Least generator count among nonzero terms; 0 for the zero element."""
         if not self._terms:
             return 0
-        return min(len(m) for m in self._terms)
+        decode = self.signature.decode
+        return min(len(decode(m)) for m in self._terms)
 
     # -- rendering ----------------------------------------------------------
 

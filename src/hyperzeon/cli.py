@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import time
 
 from . import hypergraph as hg
 from . import oracle
-from .algebra import Element, nilpotency_index
 from .conjectures import run_frankl_trials, run_ryser_trials
 from .errors import BudgetError, ParseError
 from .independent_sets import (
@@ -26,9 +23,9 @@ from .independent_sets import (
     strong_independent_sets,
     weak_independent_sets,
 )
-from .matchings import incidence_representation, j_intersecting_matchings, k_matchings, perfect_matching_count
-from .transversals import minimum_transversals, transversal_number
-from .walks import build_omega, k_cycles, k_paths, k_trails, walk_signature
+from .matchings import j_intersecting_matchings, k_matchings, perfect_matching_count
+from .transversals import minimum_transversals
+from .walks import k_cycles, k_paths, k_trails
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,66 +186,6 @@ def _cmd_oracle(args):
     return {"tau": tau, "transversals": _sets_json(sets)}
 
 
-def _random_hypergraph(rng: random.Random, n: int, m: int) -> hg.Hypergraph:
-    edges = []
-    for _ in range(m):
-        size = rng.randint(2, min(4, n))
-        edges.append(rng.sample(range(1, n + 1), size))
-    return hg.Hypergraph(n, edges)
-
-
-def _cmd_bench(args):
-    rng = random.Random(args.seed)
-    rows = []
-    n = 4
-    while n <= args.max_n:
-        h = _random_hypergraph(random.Random(rng.randrange(2**32)), n, n)
-        sig = walk_signature(h)
-        gens = len(sig)
-        a = Element(sig, [(((rng.randrange(gens), 1),), rng.randint(1, 3)) for _ in range(40)])
-        b = Element(sig, [(((rng.randrange(gens), 1),), rng.randint(1, 3)) for _ in range(40)])
-        big_a, big_b = a * a * a, b * b * b
-        t0 = time.perf_counter()
-        _ = big_a * big_b
-        mul_ms = (time.perf_counter() - t0) * 1000
-
-        t0 = time.perf_counter()
-        omega = build_omega(h)
-        power = omega
-        truncated = False
-        for _ in range(args.max_k - 1):
-            power = power * omega
-            terms = sum(len(e.terms) for row in power.entries for e in row)
-            if terms > args.max_terms:
-                truncated = True
-                break
-        omega_ms = (time.perf_counter() - t0) * 1000
-
-        t0 = time.perf_counter()
-        nilpotency_index(incidence_representation(h), h.n + 1)
-        gamma_ms = (time.perf_counter() - t0) * 1000
-
-        t0 = time.perf_counter()
-        transversal_number(h, prune=True)
-        sigma_ms = (time.perf_counter() - t0) * 1000
-
-        rows.append({
-            "n": n, "m": h.m, "mul_ms": round(mul_ms, 3),
-            "omega_pow_ms": round(omega_ms, 3), "omega_truncated": truncated,
-            "gamma_ms": round(gamma_ms, 3), "sigma_ms": round(sigma_ms, 3),
-        })
-        n += 4
-    header = f"{'n':>4} {'m':>4} {'mul_ms':>10} {'omega_ms':>10} {'gamma_ms':>10} {'sigma_ms':>10}"
-    print(header, file=sys.stderr)
-    for row in rows:
-        print(
-            f"{row['n']:>4} {row['m']:>4} {row['mul_ms']:>10} "
-            f"{row['omega_pow_ms']:>10} {row['gamma_ms']:>10} {row['sigma_ms']:>10}",
-            file=sys.stderr,
-        )
-    return {"kind": "bench", "max_k": args.max_k, "rows": rows}
-
-
 # -- parser ------------------------------------------------------------------------
 
 
@@ -337,13 +274,6 @@ def build_parser() -> _Parser:
     q = osub.add_parser("transversals")
     _add_input_flag(q)
     q.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("bench", help="local performance baseline")
-    p.add_argument("--max-n", type=int, dest="max_n", default=16)
-    p.add_argument("--max-k", type=int, dest="max_k", default=4)
-    p.add_argument("--max-terms", type=int, dest="max_terms", default=10**6)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 

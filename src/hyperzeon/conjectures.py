@@ -46,7 +46,7 @@ def gamma_element(h: Hypergraph) -> Element:
         gids = tuple(g for g in range(h.n) if mask >> g & 1)
         if annihilates(gids, gamma):
             terms[tuple((g, 1) for g in gids)] = 1
-    return Element(sig, terms, _raw=True)
+    return Element(sig, terms)
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,9 @@ def parse_json(text: str) -> Hypergraph:
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise ParseError("'edges' must be a list of lists")
     for e in edges:
+        for v in e:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ParseError(f"vertex ids must be integers, got {v!r} in edge {e}")
         if len(set(e)) != len(e):
             raise ParseError(f"repeated vertex in edge {e}")
     try:

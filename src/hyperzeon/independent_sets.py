@@ -37,6 +37,13 @@ class PhiRepresentation:
         """1-based vertex ids carried by a monomial's idempotent part."""
         return frozenset(g - self.edge_count + 1 for g, _ in monomial if g >= self.edge_count)
 
+    def packed_x_sets(self, element: Element):
+        """(x_set, coefficient) per term of an element over this representation's signature."""
+        sig = self.element.signature
+        vertices = sig.mask(range(self.edge_count, len(sig)))
+        for key, coeff in element.packed.items():
+            yield self.x_set(sig.decode(key & vertices)), coeff
+
 
 def _phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
     m = h.m
@@ -47,7 +54,7 @@ def _phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
         incident = h.incident_edges(v)
         monomial = tuple((idx, 1) for idx in incident) + ((m + v - 1, 1),)
         terms[monomial] = 1
-    return Element(signature, terms, _raw=True)
+    return Element(signature, terms)
 
 
 def _expand_by_size(rep: PhiRepresentation, k: int) -> dict[int, list[frozenset]]:
@@ -55,8 +62,7 @@ def _expand_by_size(rep: PhiRepresentation, k: int) -> dict[int, list[frozenset]
     by_size: dict[int, set] = {}
     kf = factorial(k)
     seen_full = set()
-    for monomial, coeff in power.terms.items():
-        xs = rep.x_set(monomial)
+    for xs, coeff in rep.packed_x_sets(power):
         if len(xs) == k:
             # at full size the coefficient of each surviving index set is exactly k!
             assert xs not in seen_full, f"index set {sorted(xs)} appeared twice"
@@ -99,8 +105,7 @@ def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple[frozenset, int]]
     rep = independent_set_representation(g)
     kf = factorial(k)
     out = []
-    for monomial, coeff in (rep.element**k).terms.items():
-        xs = rep.x_set(monomial)
+    for xs, coeff in rep.packed_x_sets(rep.element**k):
         # index-2 edge labels force k distinct vertices
         assert len(xs) == k, f"unexpected index set size {len(xs)}"
         count, remainder = divmod(coeff, kf)

@@ -30,12 +30,7 @@ def incidence_signature(h: Hypergraph) -> Signature:
 
 def incidence_representation(h: Hypergraph) -> Element:
     """Sum of one unit blade per hyperedge over index-2 vertex generators."""
-    sig = incidence_signature(h)
-    terms: dict = {}
-    for e in h.edges:
-        monomial = tuple((v - 1, 1) for v in sorted(e))
-        terms[monomial] = terms.get(monomial, 0) + 1
-    return Element(sig, terms, _raw=True)
+    return Element(incidence_signature(h), [(tuple((v - 1, 1) for v in e), 1) for e in h.edges])
 
 
 def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
@@ -44,12 +39,13 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_distinct_edges(h)
     gamma = incidence_representation(h)
+    decode = gamma.signature.decode
     kf = factorial(k)
     out = []
-    for monomial, coeff in (gamma**k).terms.items():
+    for key, coeff in (gamma**k).packed.items():
         count, remainder = divmod(coeff, kf)
         assert remainder == 0, f"coefficient {coeff} not divisible by {k}!"
-        out.append((frozenset(g + 1 for g, _ in monomial), count))
+        out.append((frozenset(g + 1 for g, _ in decode(key)), count))
     out.sort(key=lambda t: sorted(t[0]))
     return out
 
@@ -74,8 +70,8 @@ def perfect_matching_count(h: Hypergraph) -> int:
     if k == 0:
         return 1 if h.n == 0 else 0
     gamma = incidence_representation(h)
-    full = tuple((g, 1) for g in range(h.n))
-    coeff = (gamma**k).terms.get(full, 0)
+    full = gamma.signature.encode((g, 1) for g in range(h.n))
+    coeff = (gamma**k).packed.get(full, 0)
     count, remainder = divmod(coeff, factorial(k))
     assert remainder == 0
     return count
@@ -91,13 +87,13 @@ def spanning_matching_count(h: Hypergraph) -> int:
     if h.n == 0:
         return 1
     gamma = incidence_representation(h)
-    full = tuple((g, 1) for g in range(h.n))
+    full = gamma.signature.encode((g, 1) for g in range(h.n))
     total = 0
     power = gamma
     for k in range(1, h.n + 1):
         if not power:
             break
-        coeff = power.terms.get(full, 0)
+        coeff = power.packed.get(full, 0)
         count, remainder = divmod(coeff, factorial(k))
         assert remainder == 0
         total += count

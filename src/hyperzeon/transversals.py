@@ -40,7 +40,7 @@ def transversal_representation(h: Hypergraph) -> TransversalRepresentation:
             continue
         monomial = tuple((idx, 1) for idx in h.incident_edges(v)) + ((h.m + v - 1, 1),)
         terms[monomial] = 1
-    return TransversalRepresentation(Element(sig, terms, _raw=True), h.m, h.n, isolated)
+    return TransversalRepresentation(Element(sig, terms), h.m, h.n, isolated)
 
 
 def _dominance_prune(element: Element, m: int) -> Element:
@@ -50,21 +50,26 @@ def _dominance_prune(element: Element, m: int) -> Element:
     (B, J) has B ⊇ A and J ⊆ I, the dominated term cannot lead to a full blade
     at a power where the dominating one does not.  Result-preserving, kept
     behind a flag as a pure optimization.
+
+    Every generator is idempotent, so a packed key is the bitmask A | I.
+    Flipping the vertex bits gives x = A | ~I, and (B, J) dominates (A, I)
+    exactly when x(A, I) is a proper subset of x(B, J).  The kept terms are
+    those whose x is maximal; taking terms by falling bit count, a term is
+    dominated iff some term kept before it contains its x.
     """
-    split = []
-    for monomial, coeff in element.terms.items():
-        edges = frozenset(g for g, _ in monomial if g < m)
-        verts = frozenset(g for g, _ in monomial if g >= m)
-        split.append((edges, verts, monomial, coeff))
+    sig = element.signature
+    flip = sig.mask(range(m, len(sig)))
+    by_size = sorted(
+        ((key ^ flip, key, c) for key, c in element.packed.items()),
+        key=lambda t: -t[0].bit_count(),
+    )
+    maximal: list[int] = []
     keep = {}
-    for edges, verts, monomial, coeff in split:
-        dominated = any(
-            (edges2 >= edges and verts2 <= verts and (edges2, verts2) != (edges, verts))
-            for edges2, verts2, _, _ in split
-        )
-        if not dominated:
-            keep[monomial] = coeff
-    return Element(element.signature, keep, _raw=True)
+    for x, key, c in by_size:
+        if not any(x & y == x for y in maximal):
+            maximal.append(x)
+            keep[key] = c
+    return Element.from_packed(sig, keep)
 
 
 def minimum_transversals(h: Hypergraph, prune: bool = False) -> tuple[int, list[frozenset]]:
@@ -77,14 +82,15 @@ def minimum_transversals(h: Hypergraph, prune: bool = False) -> tuple[int, list[
     if h.m < 1:
         raise ValueError("transversal search needs at least one edge")
     rep = transversal_representation(h)
-    full_edges = tuple((g, 1) for g in range(h.m))
+    sig = rep.element.signature
+    full_edges = sig.mask(range(h.m))
     power = rep.element
     active = len(rep.element.terms)
     for k in range(1, active + 1):
         hits = []
-        for monomial, _ in power.terms.items():
-            if monomial[: h.m] == full_edges:
-                vs = frozenset(g - h.m + 1 for g, _ in monomial if g >= h.m)
+        for key in power.packed:
+            if key & full_edges == full_edges:
+                vs = frozenset(g - h.m + 1 for g, _ in sig.decode(key & ~full_edges))
                 assert len(vs) == k, f"full-blade vertex set {sorted(vs)} at power {k}"
                 hits.append(vs)
         if hits:

@@ -12,9 +12,8 @@ idempotently and merely shrink the recorded edge set.  Trails swap the roles
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import Element, Signature
+from .algebra import Element, Signature, mul_into
 from .hypergraph import Hypergraph
 
 
@@ -69,21 +68,8 @@ class AlgebraMatrix:
             raise ValueError("matrix signatures differ")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero = self.signature.zero()
-        out = []
-        for i in range(self.rows):
-            row = self.entries[i]
-            out_row = []
-            for j in range(other.cols):
-                acc = zero
-                for t in range(self.cols):
-                    a = row[t]
-                    b = other.entries[t][j]
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return AlgebraMatrix(self.signature, out)
+        rows = [_row_times_matrix(row, other) for row in self.entries]
+        return AlgebraMatrix(self.signature, rows)
 
     def power(self, k: int) -> "AlgebraMatrix":
         if k < 0:
@@ -116,33 +102,30 @@ def trail_signature(h: Hypergraph) -> Signature:
     return Signature.idempotents(h.n, "ε") + Signature.zeons(h.m, "ζ")
 
 
-@lru_cache(maxsize=64)
+def _adjacency(h: Hypergraph, sig: Signature) -> AlgebraMatrix:
+    """(i, j) -> label of vertex j times the sum of labels of edges containing i and j."""
+    n = h.n
+    incident = [frozenset(h.incident_edges(v)) for v in range(1, n + 1)]
+    zero = sig.zero()
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            shared = incident[i] & incident[j]
+            terms = [(((j, 1), (n + idx, 1)), 1) for idx in shared]
+            row.append(Element(sig, terms) if shared else zero)
+        rows.append(row)
+    return AlgebraMatrix(sig, rows)
+
+
 def build_omega(h: Hypergraph) -> AlgebraMatrix:
     """The n x n nilpotent adjacency matrix: (i, j) -> zeta_j * sum of shared edge labels."""
-    sig = walk_signature(h)
-    n = h.n
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            terms = {((j - 1, 1), (n + idx, 1)): 1 for idx in h.common_edges(i, j)}
-            row.append(Element(sig, terms, _raw=True))
-        rows.append(row)
-    return AlgebraMatrix(sig, rows)
+    return _adjacency(h, walk_signature(h))
 
 
-@lru_cache(maxsize=64)
 def build_trail_matrix(h: Hypergraph) -> AlgebraMatrix:
-    sig = trail_signature(h)
-    n = h.n
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            terms = {((j - 1, 1), (n + idx, 1)): 1 for idx in h.common_edges(i, j)}
-            row.append(Element(sig, terms, _raw=True))
-        rows.append(row)
-    return AlgebraMatrix(sig, rows)
+    """The trail matrix: same layout as Omega over the role-swapped signature."""
+    return _adjacency(h, trail_signature(h))
 
 
 def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
@@ -151,14 +134,14 @@ def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
     n = h.n
     X = [
         [
-            Element(sig, {((n + l, 1),): 1}, _raw=True) if v in e else sig.zero()
+            sig.gen(n + l) if v in e else sig.zero()
             for l, e in enumerate(h.edges)
         ]
         for v in range(1, h.n + 1)
     ]
     Z = [
         [
-            Element(sig, {((j - 1, 1),): 1}, _raw=True) if j in e else sig.zero()
+            sig.gen(j - 1) if j in e else sig.zero()
             for j in range(1, h.n + 1)
         ]
         for e in h.edges
@@ -189,45 +172,38 @@ def build_bipartite(h: Hypergraph) -> AlgebraMatrix:
 # -- walk extraction --------------------------------------------------------------
 
 
-def _row_times_matrix(row, mat: AlgebraMatrix):
-    zero = mat.signature.zero()
-    out = []
-    for c in range(mat.cols):
-        acc = zero
-        for v, rv in enumerate(row):
-            b = mat.entries[v][c]
-            if rv and b:
-                acc = acc + rv * b
-        out.append(acc)
-    return tuple(out)
+def _row_times_matrix(row, mat: AlgebraMatrix) -> tuple:
+    """The row vector times the matrix, each entry summed in place by mul_into."""
+    sig = mat.signature
+    accs = [{} for _ in range(mat.cols)]
+    for rv, mat_row in zip(row, mat.entries):
+        if rv:
+            for acc, b in zip(accs, mat_row):
+                if b:
+                    mul_into(acc, rv, b)
+    return tuple(Element.from_packed(sig, acc) for acc in accs)
 
 
-@lru_cache(maxsize=4096)
-def _walk_row(h: Hypergraph, i: int, k: int, premultiplied: bool):
-    """Row i of Omega^k, optionally with zeta_i folded in from the start."""
-    omega = build_omega(h)
-    if k == 1:
-        row = omega.entries[i - 1]
-        if premultiplied:
-            zi = omega.signature.gen(i - 1)
-            row = tuple(zi * x for x in row)
-        return tuple(row)
-    return _row_times_matrix(_walk_row(h, i, k - 1, premultiplied), omega)
+def _row_power(mat: AlgebraMatrix, i: int, k: int, start: Element | None) -> tuple:
+    """Row i of mat**k, with ``start`` multiplied into the first row when given.
 
-
-@lru_cache(maxsize=4096)
-def _trail_row(h: Hypergraph, i: int, k: int):
-    """Row i of the trail matrix's k-th power, with the start vertex label folded in."""
-    mat = build_trail_matrix(h)
-    if k == 1:
-        xi = mat.signature.gen(i - 1)
-        return tuple(xi * x for x in mat.entries[i - 1])
-    return _row_times_matrix(_trail_row(h, i, k - 1), mat)
+    Stops once the row is all zero: every later power's row is zero too.
+    """
+    row = mat.entries[i - 1]
+    if start is not None:
+        row = tuple(start * x for x in row)
+    for _ in range(k - 1):
+        if not any(row):
+            break
+        row = _row_times_matrix(row, mat)
+    return row
 
 
 def _extract_records(element: Element, n: int) -> list[WalkRecord]:
     records = []
-    for monomial, coeff in element.terms.items():
+    decode = element.signature.decode
+    for key, coeff in element.packed.items():
+        monomial = decode(key)
         vs = frozenset(g + 1 for g, _ in monomial if g < n)
         es = frozenset(g - n + 1 for g, _ in monomial if g >= n)
         records.append(WalkRecord(vs, es, coeff))
@@ -252,7 +228,8 @@ def k_paths(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
         raise ValueError("closed walks are cycles; use k_cycles")
     if k < 1:
         raise ValueError(f"paths need k >= 1, got {k}")
-    entry = _walk_row(h, i, k, True)[j - 1]
+    omega = build_omega(h)
+    entry = _row_power(omega, i, k, omega.signature.gen(i - 1))[j - 1]
     records = _extract_records(entry, h.n)
     for r in records:
         assert len(r.vertex_set) == k + 1 and i in r.vertex_set and j in r.vertex_set
@@ -268,7 +245,7 @@ def k_cycles(h: Hypergraph, i: int, k: int) -> list[WalkRecord]:
     _check_vertex(h, i)
     if k < 2:
         raise ValueError(f"cycles need k >= 2, got {k}")
-    entry = _walk_row(h, i, k, False)[i - 1]
+    entry = _row_power(build_omega(h), i, k, None)[i - 1]
     records = _extract_records(entry, h.n)
     for r in records:
         assert len(r.vertex_set) == k and i in r.vertex_set
@@ -286,7 +263,8 @@ def k_trails(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     _check_vertex(h, j)
     if k < 1:
         raise ValueError(f"trails need k >= 1, got {k}")
-    entry = _trail_row(h, i, k)[j - 1]
+    mat = build_trail_matrix(h)
+    entry = _row_power(mat, i, k, mat.signature.gen(i - 1))[j - 1]
     records = _extract_records(entry, h.n)
     for r in records:
         assert len(r.edge_set) == k and i in r.vertex_set

@@ -251,3 +251,146 @@ class TestRendering:
         sig = Signature.zeons(3) + Signature.idempotents(2)
         u = Element.blade(sig, [0, 2, 3, 4], -1)
         assert str(u) == "-ζ{1,3}ε{1,2}"
+
+
+# Nilpotent indices on both sides of each power-of-two field width.
+BOUNDARY_INDICES = (2, 3, 4, 5, 8, 9)
+
+
+@st.composite
+def boundary_signatures(draw, max_gens=10):
+    kinds = st.one_of(
+        st.just(GeneratorRule.idempotent()),
+        st.sampled_from(BOUNDARY_INDICES).map(GeneratorRule.nilpotent),
+    )
+    return Signature(draw(st.lists(kinds, min_size=1, max_size=max_gens)))
+
+
+@st.composite
+def exponent_terms(draw, sig, max_terms=6):
+    """Terms as ({gid: exponent}, coeff) with every exponent valid for its generator."""
+    terms = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        gids = draw(st.lists(st.integers(0, len(sig) - 1), max_size=4, unique=True))
+        exps = {}
+        for g in gids:
+            cap = sig.rules[g].nilpotent_index
+            exps[g] = 1 if cap is None else draw(st.integers(1, cap - 1))
+        terms.append((exps, draw(st.integers(-3, 3).filter(bool))))
+    return terms
+
+
+def reference_product(sig, a_terms, b_terms):
+    """Product over exponent dicts, applying the rewrite rules generator by generator."""
+    out = {}
+    for ea, ca in a_terms:
+        for eb, cb in b_terms:
+            exps = {}
+            for g in set(ea) | set(eb):
+                cap = sig.rules[g].nilpotent_index
+                e = 1 if cap is None else ea.get(g, 0) + eb.get(g, 0)
+                if cap is not None and e >= cap:
+                    break
+                exps[g] = e
+            else:
+                mono = tuple(sorted(exps.items()))
+                out[mono] = out.get(mono, 0) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_terms(terms):
+    out = {}
+    for exps, c in terms:
+        mono = tuple(sorted(exps.items()))
+        out[mono] = out.get(mono, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def as_element(sig, terms):
+    return Element(sig, [(tuple(exps.items()), c) for exps, c in terms])
+
+
+@st.composite
+def operand_pairs(draw):
+    sig = draw(boundary_signatures())
+    return sig, draw(exponent_terms(sig)), draw(exponent_terms(sig))
+
+
+class TestPackedKernel:
+    @given(operand_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_product_matches_exponent_reference(self, case):
+        sig, a_terms, b_terms = case
+        got = as_element(sig, a_terms) * as_element(sig, b_terms)
+        want = reference_product(sig, a_terms, b_terms)
+        assert dict(got.terms.items()) == want
+
+    @given(operand_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_power_matches_exponent_reference(self, case):
+        sig, a_terms, _ = case
+        u = as_element(sig, a_terms)
+        want = {(): 1}
+        for k in range(4):
+            assert dict((u**k).terms.items()) == want
+            want = reference_product(sig, [(dict(m), c) for m, c in want.items()], a_terms)
+
+    @given(operand_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_terms_view_round_trip(self, case):
+        sig, a_terms, _ = case
+        u = as_element(sig, a_terms)
+        assert Element(sig, u.terms) == u
+        assert dict(u.terms.items()) == reference_terms(a_terms)
+        assert len(u.terms) == len(reference_terms(a_terms))
+        for mono, coeff in u.terms.items():
+            assert u.terms[mono] == coeff
+            assert mono in u.terms
+
+    def test_field_boundaries(self):
+        for index in BOUNDARY_INDICES:
+            sig = Signature.generalized_zeons([index, index]) + Signature.idempotents(1)
+            g0, g1, e = sig.gen(0), sig.gen(1), sig.gen(2)
+            for a in range(index + 1):
+                for b in range(index + 1):
+                    prod = (g0**a * e) * (g0**b * g1)
+                    if a + b >= index:
+                        assert not prod
+                    else:
+                        mono = ((0, a + b), (1, 1), (2, 1)) if a + b else ((1, 1), (2, 1))
+                        assert dict(prod.terms.items()) == {mono: 1}
+
+    def test_lookup_of_non_canonical_monomials_misses(self):
+        sig = Signature.generalized_zeons([3]) + Signature.idempotents(2)
+        u = Element.blade(sig, [0, 1])
+        assert u.terms[((0, 1), (1, 1))] == 1
+        for probe in [((1, 1), (0, 1)), ((0, 3),), ((1, 2),), ((7, 1),), "x", ((0,),), None]:
+            assert probe not in u.terms
+            assert u.terms.get(probe) is None
+
+    def test_grade_counts_generators_not_bits(self):
+        # exponent 7 of an index-9 generator sets three bits of its field
+        sig = Signature.generalized_zeons([9, 5]) + Signature.idempotents(1)
+        u = sig.gen(0) ** 7 + 2 * sig.gen(0) ** 3 * sig.gen(1) ** 3 * sig.gen(2)
+        assert u.min_grade() == 1
+        assert u.grade_part(1) == sig.gen(0) ** 7
+        assert u.grade_part(3) == 2 * sig.gen(0) ** 3 * sig.gen(1) ** 3 * sig.gen(2)
+        assert u.grade_part(2) == 0
+
+    def test_sorted_terms_order(self):
+        # packed-key order would put ν1ε1 after ν1^2ν2 (ε1 has the highest
+        # field); rendering order is by grade, then exponent vector
+        sig = Signature.generalized_zeons([3, 3]) + Signature.idempotents(1)
+        u = (
+            Element.blade(sig, [0, 2])
+            + Element.blade(sig, [0, 0, 1])
+            + Element.blade(sig, [2])
+            + 5
+        )
+        assert [m for m, _ in u.sorted_terms()] == [
+            (),
+            ((2, 1),),
+            ((0, 1), (2, 1)),
+            ((0, 2), (1, 1)),
+        ]
+        assert str(u) == "5 + ε1 + ν1ε1 + ν1^2ν2"

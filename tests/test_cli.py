@@ -33,6 +33,14 @@ class TestWalkCommands:
         assert code == 0
         assert {"vertices": [1, 4], "edges": [2, 3], "count": 2} in report["records"]
 
+    @pytest.mark.parametrize("command", ["paths", "trails"])
+    def test_huge_k_is_empty_not_recursion(self, capsys, monkeypatch, command):
+        # each row power vanishes after at most n (paths) or m (trails) steps
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2\n2 3\n"))
+        code, report, _ = run(capsys, [command, "--from", "1", "--to", "2", "--k", "5000"])
+        assert code == 0
+        assert report["records"] == []
+
     def test_trails(self, capsys):
         code, report, _ = run(
             capsys, ["trails", "--file", SAMPLE7_PATH, "--from", "3", "--to", "4", "--k", "3"]
@@ -148,6 +156,15 @@ class TestInput:
         assert code == 2
         assert "input error" in err
 
+    @pytest.mark.parametrize("vertex", [[2], "2", 2.0, True, None, {"v": 2}])
+    def test_json_non_integer_vertex(self, capsys, monkeypatch, vertex):
+        payload = json.dumps({"n": 3, "edges": [[1, vertex]]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, report, err = run(capsys, ["transversals"])
+        assert code == 2
+        assert report is None
+        assert "input error" in err
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
@@ -218,11 +235,3 @@ class TestHarnessCommands:
         )
         assert code == 0
         assert report["violations"] == 0
-
-    def test_bench(self, capsys):
-        code, report, err = run(capsys, ["bench", "--max-n", "4", "--seed", "1"])
-        assert code == 0
-        assert report["kind"] == "bench"
-        assert len(report["rows"]) == 1
-        assert report["rows"][0]["n"] == 4
-        assert "mul_ms" in err

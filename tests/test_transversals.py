@@ -11,6 +11,7 @@ from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.matchings import incidence_representation
 from hyperzeon.oracle import brute_transversals
 from hyperzeon.transversals import (
+    _dominance_prune,
     minimum_transversals,
     transversal_number,
     transversal_representation,
@@ -119,6 +120,33 @@ class TestMinimumTransversals:
             if h.m == 0:
                 continue
             assert minimum_transversals(h, prune=True) == minimum_transversals(h)
+
+    def test_prune_keeps_exactly_the_undominated_terms(self):
+        # reference: the pairwise definition over decoded (edges, vertices) sets
+        rng = random.Random(46)
+        for _ in range(60):
+            h = random_hypergraph(rng)
+            if h.m == 0:
+                continue
+            rep = transversal_representation(h)
+            power = rep.element ** rng.randint(1, 3)
+            split = [
+                (
+                    frozenset(g for g, _ in mono if g < h.m),
+                    frozenset(g for g, _ in mono if g >= h.m),
+                    mono,
+                )
+                for mono in power.terms
+            ]
+            want = {
+                mono: power.terms[mono]
+                for edges, verts, mono in split
+                if not any(
+                    edges2 >= edges and verts2 <= verts and mono2 != mono
+                    for edges2, verts2, mono2 in split
+                )
+            }
+            assert dict(_dominance_prune(power, h.m).terms.items()) == want
 
 
 class TestAnnihilatorAgreement:
