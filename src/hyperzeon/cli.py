@@ -1,21 +1,22 @@
 """Command-line interface: parse a hypergraph, enumerate structures, report JSON.
 
 One JSON report goes to standard output; all diagnostics go to standard error.
-Exit codes: 0 success, 1 usage error, 2 input or contract error, 3 budget
-exceeded.  Input comes from --file or standard input, text or JSON format
-auto-detected.
+Exit codes: 0 success, 1 usage error, 2 input or contract error (or a failed
+internal invariant, reported as "internal error:"), 3 budget exceeded.  Input
+comes from --file or standard input, text or JSON format auto-detected.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
 from . import hypergraph as hg
 from . import oracle
 from .conjectures import run_frankl_trials, run_ryser_trials
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, InvariantError, ParseError
 from .independent_sets import (
     graph_independent_sets,
     k_independent_sets,
@@ -143,7 +144,7 @@ def _cmd_transversals(args):
     isolated = sorted(h.isolated_vertices())
     if h.m == 0:
         return {"tau": 0, "transversals": [[]], "removed_isolated": isolated}
-    tau, sets = minimum_transversals(h, prune=args.prune)
+    tau, sets = minimum_transversals(h)
     return {"tau": tau, "transversals": _sets_json(sets), "removed_isolated": isolated}
 
 
@@ -234,7 +235,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("transversals", help="minimum-cardinality transversals")
     _add_input_flag(p)
-    p.add_argument("--prune", action="store_true", help="dominance prune (same results)")
+    p.add_argument("--prune", action="store_true",
+                   help="no effect; accepted only until the benchmark stops passing it")
     p.set_defaults(handler=_cmd_transversals)
 
     p = sub.add_parser("conjecture", help="randomized conjecture harness")
@@ -295,9 +297,26 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 2
+    _write_report(report)
     return 0
+
+
+def _write_report(report):
+    # the indenting encoder writes once per token; with write-through on (as
+    # under PYTHONUNBUFFERED) each write would be its own syscall
+    out = sys.stdout
+    buffered = isinstance(out, io.TextIOWrapper) and out.write_through
+    if buffered:
+        out.reconfigure(write_through=False)
+    try:
+        json.dump(report, out, indent=2)
+        print(file=out)
+    finally:
+        if buffered:
+            out.reconfigure(write_through=True)  # flushes the report
 
 
 if __name__ == "__main__":

@@ -3,14 +3,15 @@
 The first bounds the transversal number of an r-uniform r-partite hypergraph
 by (r-1) times the matching number, with both sides read off the incidence
 element: the matching number is its nilpotency index minus one, and the
-transversal number is the minimal grade of the sum of annihilating blades
-(equivalently, the covering power from the transversal representation).  The
-second says a union-closed family has an element in at least half its sets;
+transversal number is the first power of the transversal representation σ
+whose expansion carries the full edge blade (equivalently, the minimal grade
+of the sum of annihilating blades, computed on request).  The second says a union-closed family has an element in at least half its sets;
 per vertex, multiplying the incidence element by that vertex's generator and
 taking the scalar sum counts the edges missing it, so the claim becomes the
 existence of a vertex whose product's scalar sum is at most half the family
 size.  Random instance generators plus an append-only violation log make the
-checks repeatable; the expected violation count is zero.
+checks repeatable; the expected violation count is zero.  A failed internal
+identity (nilpotency, kernel/degree agreement) raises InvariantError.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import asdict, dataclass
 from itertools import product
 
 from .algebra import Element, annihilates, nilpotency_index
-from .errors import BudgetError
+from .errors import BudgetError, InvariantError
 from .hypergraph import Hypergraph, to_json_dict
 from .matchings import incidence_representation, incidence_signature
 from .transversals import transversal_number
@@ -67,15 +68,13 @@ class FranklReport:
     holds: bool
 
 
-def check_ryser(
-    h: Hypergraph, r: int, partition, gamma_limit: int = 0, prune: bool = False
-) -> RyserReport:
+def check_ryser(h: Hypergraph, r: int, partition, gamma_limit: int = 0) -> RyserReport:
     """Test transversal number <= (r-1) * matching number on an r-uniform r-partite input.
 
     The matching number comes from the incidence element's nilpotency index;
     when gamma_limit >= n the annihilator sum is also computed and its minimal
-    grade reported (it must equal the transversal number).  prune enables the
-    result-preserving dominance prune inside the transversal power iteration.
+    grade reported (it must equal the transversal number).  The transversal
+    number comes from the plain power loop of the transversal representation.
     """
     if not h.is_r_uniform(r):
         raise ValueError(f"hypergraph is not {r}-uniform")
@@ -83,9 +82,10 @@ def check_ryser(
         raise ValueError(f"partition is not a valid {r}-partition")
     gamma = incidence_representation(h)
     kappa = nilpotency_index(gamma, h.n + 1)
-    assert kappa is not None, "incidence element must be nilpotent"
+    if kappa is None:
+        raise InvariantError("incidence element must be nilpotent")
     matching = kappa - 1
-    tau = transversal_number(h, prune=prune)
+    tau = transversal_number(h)
     grade = gamma_element(h).min_grade() if 0 < h.n <= gamma_limit else None
     return RyserReport(r, matching, tau, tau <= (r - 1) * matching, grade)
 
@@ -106,7 +106,8 @@ def check_frankl(h: Hypergraph) -> FranklReport:
     best_vertex, best_missing = None, None
     for v in range(1, h.n + 1):
         missing = (sig.gen(v - 1) * gamma).scalar_sum()
-        assert missing == h.m - h.degree(v), f"kernel/degree mismatch at vertex {v}"
+        if missing != h.m - h.degree(v):
+            raise InvariantError(f"kernel/degree mismatch at vertex {v}")
         if best_missing is None or missing < best_missing:
             best_vertex, best_missing = v, missing
     best_count = h.m - best_missing
@@ -192,7 +193,7 @@ def run_ryser_trials(trials: int, seed, max_n: int = 12, log_path: str | None = 
         edge_count = master.randint(1, min(part_size**r, 3 * part_size))
         inst_seed = master.randrange(2**32)
         h = generate_ryser_instance(r, part_size, edge_count, inst_seed)
-        report = check_ryser(h, r, ryser_partition(r, part_size), prune=True)
+        report = check_ryser(h, r, ryser_partition(r, part_size))
         if not report.bound_ok:
             violations += 1
             if log_path:

@@ -15,3 +15,7 @@ class ParseError(ValueError):
 
 class BudgetError(RuntimeError):
     """A size or term budget was exceeded before the computation finished."""
+
+
+class InvariantError(RuntimeError):
+    """An algebraic invariant of a computed result failed; a bug, not bad input."""

@@ -27,7 +27,6 @@ class Hypergraph:
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
-        self.n = n
         out = []
         for e in edges:
             e = frozenset(e)
@@ -37,7 +36,18 @@ class Hypergraph:
                 if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
                     raise ValueError(f"vertex {v!r} outside 1..{n}")
             out.append(e)
-        self.edges = tuple(out)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", tuple(out))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Hypergraph is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Hypergraph is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle would otherwise restore the slots through __setattr__
+        return (Hypergraph, (self.n, self.edges))
 
     @property
     def m(self) -> int:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from .algebra import Element, Signature
+from .errors import InvariantError
 from .hypergraph import Hypergraph
 
 
@@ -65,8 +66,10 @@ def _expand_by_size(rep: PhiRepresentation, k: int) -> dict[int, list[frozenset]
     for xs, coeff in rep.packed_x_sets(power):
         if len(xs) == k:
             # at full size the coefficient of each surviving index set is exactly k!
-            assert xs not in seen_full, f"index set {sorted(xs)} appeared twice"
-            assert coeff == kf, f"coefficient {coeff} != {k}! for {sorted(xs)}"
+            if xs in seen_full:
+                raise InvariantError(f"index set {sorted(xs)} appeared twice")
+            if coeff != kf:
+                raise InvariantError(f"coefficient {coeff} != {k}! for {sorted(xs)}")
             seen_full.add(xs)
         by_size.setdefault(len(xs), set()).add(xs)
     return {size: sorted(sets, key=sorted) for size, sets in sorted(by_size.items())}
@@ -107,9 +110,11 @@ def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple[frozenset, int]]
     out = []
     for xs, coeff in rep.packed_x_sets(rep.element**k):
         # index-2 edge labels force k distinct vertices
-        assert len(xs) == k, f"unexpected index set size {len(xs)}"
+        if len(xs) != k:
+            raise InvariantError(f"unexpected index set size {len(xs)}")
         count, remainder = divmod(coeff, kf)
-        assert remainder == 0 and count == 1, f"coefficient {coeff} != {k}!"
+        if remainder or count != 1:
+            raise InvariantError(f"coefficient {coeff} != {k}!")
         out.append((xs, count))
     out.sort(key=lambda t: sorted(t[0]))
     return out

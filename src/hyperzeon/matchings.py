@@ -14,6 +14,7 @@ import warnings
 from math import factorial
 
 from .algebra import Element, Signature
+from .errors import InvariantError
 from .hypergraph import Hypergraph
 from .independent_sets import graph_independent_sets
 
@@ -44,7 +45,8 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
     out = []
     for key, coeff in (gamma**k).packed.items():
         count, remainder = divmod(coeff, kf)
-        assert remainder == 0, f"coefficient {coeff} not divisible by {k}!"
+        if remainder:
+            raise InvariantError(f"coefficient {coeff} not divisible by {k}!")
         out.append((frozenset(g + 1 for g, _ in decode(key)), count))
     out.sort(key=lambda t: sorted(t[0]))
     return out
@@ -73,7 +75,8 @@ def perfect_matching_count(h: Hypergraph) -> int:
     full = gamma.signature.encode((g, 1) for g in range(h.n))
     coeff = (gamma**k).packed.get(full, 0)
     count, remainder = divmod(coeff, factorial(k))
-    assert remainder == 0
+    if remainder:
+        raise InvariantError(f"coefficient {coeff} not divisible by {k}!")
     return count
 
 
@@ -95,7 +98,8 @@ def spanning_matching_count(h: Hypergraph) -> int:
             break
         coeff = power.packed.get(full, 0)
         count, remainder = divmod(coeff, factorial(k))
-        assert remainder == 0
+        if remainder:
+            raise InvariantError(f"coefficient {coeff} not divisible by {k}!")
         total += count
         power = power * gamma
     return total

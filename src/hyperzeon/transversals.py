@@ -5,7 +5,10 @@ times its own label, everything idempotent.  Powers of that sum accumulate
 coverage: the first power whose expansion contains the full edge blade yields
 the transversal number, and the vertex index sets attached to that blade are
 exactly the minimum transversals.  Isolated vertices can never help cover an
-edge, so they are dropped up front and reported.
+edge, so they are dropped up front and reported.  Each power is kept whole:
+dropping the terms that another term dominates (more edges covered with no
+more vertices) never changes the result, and on the conjecture harness's
+instances it cost several times what it saved.
 
 Generator ids: edge labels 0..m-1 ("ε", 1-based subscripts), vertex labels
 m..m+n-1 ("x").
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element, Signature
+from .errors import InvariantError
 from .hypergraph import Hypergraph
 
 
@@ -43,36 +47,7 @@ def transversal_representation(h: Hypergraph) -> TransversalRepresentation:
     return TransversalRepresentation(Element(sig, terms), h.m, h.n, isolated)
 
 
-def _dominance_prune(element: Element, m: int) -> Element:
-    """Drop terms whose coverage another term dominates with no larger vertex set.
-
-    A term is a pair (covered edges A, used vertices I); if some other term
-    (B, J) has B ⊇ A and J ⊆ I, the dominated term cannot lead to a full blade
-    at a power where the dominating one does not.  Result-preserving, kept
-    behind a flag as a pure optimization.
-
-    Every generator is idempotent, so a packed key is the bitmask A | I.
-    Flipping the vertex bits gives x = A | ~I, and (B, J) dominates (A, I)
-    exactly when x(A, I) is a proper subset of x(B, J).  The kept terms are
-    those whose x is maximal; taking terms by falling bit count, a term is
-    dominated iff some term kept before it contains its x.
-    """
-    sig = element.signature
-    flip = sig.mask(range(m, len(sig)))
-    by_size = sorted(
-        ((key ^ flip, key, c) for key, c in element.packed.items()),
-        key=lambda t: -t[0].bit_count(),
-    )
-    maximal: list[int] = []
-    keep = {}
-    for x, key, c in by_size:
-        if not any(x & y == x for y in maximal):
-            maximal.append(x)
-            keep[key] = c
-    return Element.from_packed(sig, keep)
-
-
-def minimum_transversals(h: Hypergraph, prune: bool = False) -> tuple[int, list[frozenset]]:
+def minimum_transversals(h: Hypergraph) -> tuple[int, list[frozenset]]:
     """(tau, every minimum-cardinality vertex set meeting all edges).
 
     Iterates powers of the representation until a term carries the full edge
@@ -91,16 +66,15 @@ def minimum_transversals(h: Hypergraph, prune: bool = False) -> tuple[int, list[
         for key in power.packed:
             if key & full_edges == full_edges:
                 vs = frozenset(g - h.m + 1 for g, _ in sig.decode(key & ~full_edges))
-                assert len(vs) == k, f"full-blade vertex set {sorted(vs)} at power {k}"
+                if len(vs) != k:
+                    raise InvariantError(f"full-blade vertex set {sorted(vs)} at power {k}")
                 hits.append(vs)
         if hits:
             return k, sorted(hits, key=sorted)
         if k < active:
             power = power * rep.element
-            if prune:
-                power = _dominance_prune(power, h.m)
-    raise RuntimeError("no transversal found, yet every edge is non-empty")
+    raise InvariantError("no transversal found, yet every edge is non-empty")
 
 
-def transversal_number(h: Hypergraph, prune: bool = False) -> int:
-    return 0 if h.m == 0 else minimum_transversals(h, prune=prune)[0]
+def transversal_number(h: Hypergraph) -> int:
+    return 0 if h.m == 0 else minimum_transversals(h)[0]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Element, Signature, mul_into
+from .errors import InvariantError
 from .hypergraph import Hypergraph
 
 
@@ -232,7 +233,8 @@ def k_paths(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     entry = _row_power(omega, i, k, omega.signature.gen(i - 1))[j - 1]
     records = _extract_records(entry, h.n)
     for r in records:
-        assert len(r.vertex_set) == k + 1 and i in r.vertex_set and j in r.vertex_set
+        if len(r.vertex_set) != k + 1 or i not in r.vertex_set or j not in r.vertex_set:
+            raise InvariantError(f"path record {sorted(r.vertex_set)} for {i}->{j}, k={k}")
     return records
 
 
@@ -248,7 +250,8 @@ def k_cycles(h: Hypergraph, i: int, k: int) -> list[WalkRecord]:
     entry = _row_power(build_omega(h), i, k, None)[i - 1]
     records = _extract_records(entry, h.n)
     for r in records:
-        assert len(r.vertex_set) == k and i in r.vertex_set
+        if len(r.vertex_set) != k or i not in r.vertex_set:
+            raise InvariantError(f"cycle record {sorted(r.vertex_set)} at {i}, k={k}")
     return records
 
 
@@ -267,5 +270,6 @@ def k_trails(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     entry = _row_power(mat, i, k, mat.signature.gen(i - 1))[j - 1]
     records = _extract_records(entry, h.n)
     for r in records:
-        assert len(r.edge_set) == k and i in r.vertex_set
+        if len(r.edge_set) != k or i not in r.vertex_set:
+            raise InvariantError(f"trail record {sorted(r.edge_set)} from {i}, k={k}")
     return records

@@ -2,6 +2,7 @@
 
 import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -56,6 +57,7 @@ class TestStructureCommands:
         assert report == {"tau": 2, "transversals": [[1, 6]], "removed_isolated": []}
 
     def test_transversals_prune_same(self, capsys):
+        # --prune is accepted and has no effect
         _, plain, _ = run(capsys, ["transversals", "--file", SAMPLE7_PATH])
         _, pruned, _ = run(capsys, ["transversals", "--file", SAMPLE7_PATH, "--prune"])
         assert plain == pruned
@@ -190,6 +192,38 @@ class TestExitCodes:
         )
         assert code == 3
         assert "budget exceeded" in err
+
+
+class TestOutput:
+    ARGV = ["paths", "--file", SAMPLE7_PATH, "--from", "3", "--to", "4", "--k", "3"]
+
+    def test_main_under_redirect_stdout(self):
+        # a StringIO stdout has no write-through switch and must still work
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(self.ARGV) == 0
+        assert len(json.loads(out.getvalue())["records"]) == 5
+        assert out.getvalue().endswith("}\n")
+
+    def test_write_through_stdout_is_buffered_and_restored(self):
+        class CountingRaw(io.BytesIO):
+            writes = 0
+
+            def write(self, b):
+                self.writes += 1
+                return super().write(b)
+
+        text = io.StringIO()
+        with redirect_stdout(text):
+            main(self.ARGV)
+        raw = CountingRaw()
+        out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        with redirect_stdout(out):
+            assert main(self.ARGV) == 0
+        assert out.write_through
+        assert raw.getvalue().decode() == text.getvalue()
+        # one write per chunk of the report, not one per JSON token
+        assert raw.writes <= 2
 
 
 class TestOracleMirror:

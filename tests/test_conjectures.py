@@ -22,6 +22,7 @@ from hyperzeon.conjectures import (
 from hyperzeon.errors import BudgetError
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.matchings import incidence_signature
+from hyperzeon.oracle import brute_transversals
 from hyperzeon.transversals import transversal_number
 
 
@@ -94,12 +95,12 @@ class TestCheckRyser:
             if report.gamma_min_grade is not None:
                 assert report.gamma_min_grade == report.transversal_number
 
-    def test_prune_matches_plain(self):
+    def test_transversal_number_matches_oracle(self):
         rng = random.Random(53)
         for _ in range(10):
             h = generate_ryser_instance(3, 2, 4, rng.randrange(2**32))
-            parts = ryser_partition(3, 2)
-            assert check_ryser(h, 3, parts, prune=True) == check_ryser(h, 3, parts)
+            report = check_ryser(h, 3, ryser_partition(3, 2))
+            assert report.transversal_number == brute_transversals(h)[0]
 
 
 class TestCheckFrankl:

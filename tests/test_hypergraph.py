@@ -1,6 +1,8 @@
 """Hypergraph container, parsers, and derived graphs."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -53,6 +55,21 @@ class TestConstruction:
         assert a == Hypergraph(3, [{1, 2}, {2, 3}])
         assert a != b
         assert hash(a) != hash(b)
+
+    def test_immutable(self):
+        h = Hypergraph(3, [{1, 2}, {2, 3}])
+        before = hash(h)
+        for name, value in (("n", 5), ("edges", ()), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(h, name, value)
+        with pytest.raises(AttributeError):
+            del h.n
+        assert (h.n, h.m, hash(h)) == (3, 2, before)
+
+    def test_copy_and_pickle_round_trip(self):
+        h = Hypergraph(3, [{1, 2}, {2, 3}])
+        for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+            assert twin == h and hash(twin) == hash(h)
 
 
 class TestQueries:
