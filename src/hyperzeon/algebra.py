@@ -8,8 +8,9 @@ flat id space.  Elements are immutable sparse sums of monomials with exact
 integer or rational coefficients; all operations are pure functions.
 
 Internally every monomial is one packed ``int`` (see :class:`Signature`), and
-:func:`mul_into` is the only product of monomials.  The public view of an
-element's terms keeps canonical tuple monomials.
+:func:`mul_into` is the only product of monomials; :func:`subset_products`
+builds the enumerators' subset levels on it.  The public view of an element's
+terms keeps canonical tuple monomials.
 """
 
 from __future__ import annotations
@@ -278,6 +279,52 @@ def mul_into(acc: dict, a: "Element", b: "Element") -> dict:
             m = (s - bias) | bi
             acc[m] = get(m, 0) + ca * cb
     return acc
+
+
+def subset_products(signature: Signature, factors, depth: int | None = None):
+    """Yield (j, terms) for j = 1, 2, ...: the products of all j-subsets of ``factors``.
+
+    ``factors`` is an iterable of packed monomials of ``signature``, each
+    taken with coefficient 1; ``terms`` maps every packed product that
+    survives to the number of j-subsets giving it, and belongs to the caller.
+    Level j is the part of the product of (1 + f) over the factors made of j
+    factors: each subset is formed once, by appending factors in index order,
+    so no coefficient carries the j! orderings of the j-th power of their sum.
+    Without ``depth`` the levels run until one is empty.  With ``depth``, only
+    level ``depth`` is yielded, and subsets that can no longer reach ``depth``
+    factors are dropped on the way; a depth above the number of factors
+    yields nothing.
+    """
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
+    factors = list(factors)
+    count = len(factors)
+    units = [Element(signature, {f: 1}, _raw=True) for f in factors]
+    # a j-subset whose last factor is i can grow to `depth` factors iff i < cut + j
+    cut = count if depth is None else count - depth
+    # parts[i]: products of the current level's subsets whose last factor is i
+    parts = [{f: 1} for f in factors[: max(0, cut + 1)]]
+    j = 1
+    while any(parts):
+        if depth is None or j == depth:
+            level: dict = {}
+            for part in parts:
+                for m, c in part.items():
+                    level[m] = level.get(m, 0) + c
+            yield j, level
+            if j == depth:
+                return
+        # level j+1 ending at i: (level-j subsets ending before i) * factor i,
+        # with equal products merged in the running prefix first
+        prefix: dict = {}
+        before = Element(signature, prefix, _raw=True)  # a live view of prefix
+        nxt = [{} for _ in range(min(count, cut + j + 1))]
+        for i in range(j, len(nxt)):
+            for m, c in parts[i - 1].items():
+                prefix[m] = prefix.get(m, 0) + c
+            mul_into(nxt[i], before, units[i])
+        parts = nxt
+        j += 1
 
 
 class _Terms(Mapping):

@@ -1,17 +1,20 @@
 """Empirical checkers for two matching/covering conjectures, stated algebraically.
 
 The first bounds the transversal number of an r-uniform r-partite hypergraph
-by (r-1) times the matching number, with both sides read off the incidence
-element: the matching number is its nilpotency index minus one, and the
-transversal number is the first power of the transversal representation σ
-whose expansion carries the full edge blade (equivalently, the minimal grade
-of the sum of annihilating blades, computed on request).  The second says a union-closed family has an element in at least half its sets;
+by (r-1) times the matching number, with both sides read off edge and vertex
+blades: the matching number ν is the deepest non-empty level of the subset
+products of the incidence element's edge blades (the paper's nilpotency index
+of that element, minus one), and the transversal number is the first level of
+the subset products of the transversal factors that carries the full edge
+blade (equivalently, the first such power of σ, or the minimal grade of the
+sum of annihilating blades, computed on request).  The second says a
+union-closed family has an element in at least half its sets;
 per vertex, multiplying the incidence element by that vertex's generator and
 taking the scalar sum counts the edges missing it, so the claim becomes the
 existence of a vertex whose product's scalar sum is at most half the family
 size.  Random instance generators plus an append-only violation log make the
 checks repeatable; the expected violation count is zero.  A failed internal
-identity (nilpotency, kernel/degree agreement) raises InvariantError.
+identity (kernel/degree agreement) raises InvariantError.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import random
 from dataclasses import asdict, dataclass
 from itertools import product
 
-from .algebra import Element, annihilates, nilpotency_index
+from .algebra import Element, annihilates, subset_products
 from .errors import BudgetError, InvariantError
-from .hypergraph import Hypergraph, to_json_dict
+from .hypergraph import MAX_SIZE, Hypergraph, to_json_dict
 from .matchings import incidence_representation, incidence_signature
 from .transversals import transversal_number
 
@@ -71,20 +74,19 @@ class FranklReport:
 def check_ryser(h: Hypergraph, r: int, partition, gamma_limit: int = 0) -> RyserReport:
     """Test transversal number <= (r-1) * matching number on an r-uniform r-partite input.
 
-    The matching number comes from the incidence element's nilpotency index;
-    when gamma_limit >= n the annihilator sum is also computed and its minimal
-    grade reported (it must equal the transversal number).  The transversal
-    number comes from the plain power loop of the transversal representation.
+    The matching number is the deepest non-empty level of the subset products
+    of the incidence element's edge blades; when gamma_limit >= n the
+    annihilator sum is also computed and its minimal grade reported (it must
+    equal the transversal number).  The transversal number is the first level
+    of the transversal factors' subset products that carries the full edge
+    blade.
     """
     if not h.is_r_uniform(r):
         raise ValueError(f"hypergraph is not {r}-uniform")
     if not h.is_r_partite(r, partition):
         raise ValueError(f"partition is not a valid {r}-partition")
     gamma = incidence_representation(h)
-    kappa = nilpotency_index(gamma, h.n + 1)
-    if kappa is None:
-        raise InvariantError("incidence element must be nilpotent")
-    matching = kappa - 1
+    matching = max((j for j, _ in subset_products(gamma.signature, gamma.packed)), default=0)
     tau = transversal_number(h)
     grade = gamma_element(h).min_grade() if 0 < h.n <= gamma_limit else None
     return RyserReport(r, matching, tau, tau <= (r - 1) * matching, grade)
@@ -145,7 +147,9 @@ def generate_ryser_instance(r: int, part_size: int, edge_count: int, seed) -> Hy
     return Hypergraph(r * part_size, edges)
 
 
-def generate_union_closed(ground_size: int, seed_count: int, seed, max_edges: int = 4096) -> Hypergraph:
+def generate_union_closed(
+    ground_size: int, seed_count: int, seed, max_edges: int = MAX_SIZE
+) -> Hypergraph:
     """Close random seed sets under pairwise unions (fixpoint), deterministically.
 
     The closure of s seeds has at most 2^s - 1 members (unions of nonempty
@@ -153,6 +157,8 @@ def generate_union_closed(ground_size: int, seed_count: int, seed, max_edges: in
     """
     if ground_size < 1 or seed_count < 1:
         raise ValueError("ground_size and seed_count must be >= 1")
+    if ground_size > MAX_SIZE:
+        raise BudgetError(f"ground size {ground_size} exceeds the limit of {MAX_SIZE}")
     rng = random.Random(seed)
     family = set()
     for _ in range(seed_count):

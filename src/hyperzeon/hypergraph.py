@@ -8,7 +8,8 @@ Two interchangeable input formats are supported:
 
 Edges are unordered, non-empty vertex sets.  Duplicate edges are representable
 (operations that require distinct edges validate on their own); a repeated
-vertex inside one edge is rejected as a likely typo.
+vertex inside one edge is rejected as a likely typo.  Vertex and edge counts
+above :data:`MAX_SIZE` raise BudgetError before anything is allocated for them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from __future__ import annotations
 import json
 from typing import Iterable
 
-from .errors import ParseError
+from .errors import BudgetError, ParseError
+
+# Largest vertex count n and edge count m accepted.  Every enumeration is exact
+# and exponential in some size, and the walk matrices hold n * n entries, so
+# larger inputs could only exhaust memory or time.
+MAX_SIZE = 1000
 
 
 class Hypergraph:
@@ -27,8 +33,12 @@ class Hypergraph:
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {n}")
+        if n > MAX_SIZE:
+            raise BudgetError(f"vertex count {n} exceeds the limit of {MAX_SIZE}")
         out = []
         for e in edges:
+            if len(out) == MAX_SIZE:
+                raise BudgetError(f"more than {MAX_SIZE} edges")
             e = frozenset(e)
             if not e:
                 raise ValueError("edges must be non-empty")
@@ -168,6 +178,8 @@ def parse_text(text: str) -> Hypergraph:
         raise ParseError(f"header must be two integers, got {header!r}", line=no) from None
     if n < 0 or m < 0:
         raise ParseError("n and m must be >= 0", line=no)
+    if n > MAX_SIZE or m > MAX_SIZE:
+        raise BudgetError(f"n and m are limited to {MAX_SIZE}, got {n} and {m}")
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}")

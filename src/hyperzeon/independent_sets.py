@@ -1,14 +1,15 @@
 """Independent-set enumeration through nilpotent edge labels and idempotent vertex labels.
 
-The shared construction sums, over the vertices, the product of a vertex's
-incident edge labels with its own idempotent label.  Raising that element to
-the k-th power kills every selection that overuses an edge: with index-2 edge
-labels on a graph this enforces pairwise non-adjacency, with index-|e| labels
-it forbids containing a whole hyperedge (weak independence), and with index
-k+1 labels it caps every edge's intersection at k.  Surviving idempotent index
-sets of full size are exactly the independent sets; smaller index sets can
-also appear (repeated vertices collapse idempotently) and are reported but not
-advertised as complete.
+Each vertex contributes one factor: the product of its incident edge labels
+with its own idempotent label.  The paper sums the factors and reads k-sets
+from the k-th power divided by k!; here the products of all k-subsets of the
+factors are formed directly (:func:`~hyperzeon.algebra.subset_products`),
+each subset once with coefficient 1.  A product vanishes when the subset
+overuses an edge: with index-2 edge labels on a graph this enforces pairwise
+non-adjacency, with index-|e| labels it forbids containing a whole hyperedge
+(weak independence), and with index k+1 labels it caps every edge's
+intersection at k.  The surviving idempotent index sets are exactly the
+independent k-sets.
 
 Generator id layout in every representation: edge labels occupy ids 0..m-1 in
 edge order (for graphs, appended loop edges follow the original edges), vertex
@@ -18,9 +19,8 @@ labels occupy ids m..m+n-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
 
-from .algebra import Element, Signature
+from .algebra import Element, Signature, subset_products
 from .errors import InvariantError
 from .hypergraph import Hypergraph
 
@@ -38,12 +38,24 @@ class PhiRepresentation:
         """1-based vertex ids carried by a monomial's idempotent part."""
         return frozenset(g - self.edge_count + 1 for g, _ in monomial if g >= self.edge_count)
 
-    def packed_x_sets(self, element: Element):
-        """(x_set, coefficient) per term of an element over this representation's signature."""
+    def level_sets(self, k: int) -> list[frozenset]:
+        """The index sets of the k-subset products of this representation's factors, sorted."""
         sig = self.element.signature
         vertices = sig.mask(range(self.edge_count, len(sig)))
-        for key, coeff in element.packed.items():
-            yield self.x_set(sig.decode(key & vertices)), coeff
+        level = dict(subset_products(sig, self.element.packed, k)).get(k, {})
+        out = []
+        for key, coeff in level.items():
+            xs = self.x_set(sig.decode(key & vertices))
+            # k distinct idempotent labels, and each subset formed exactly once
+            if len(xs) != k or coeff != 1:
+                raise InvariantError(
+                    f"index set {sorted(xs)} with coefficient {coeff} at level {k}"
+                )
+            out.append(xs)
+        if len(set(out)) != len(out):
+            raise InvariantError(f"an index set appeared twice at level {k}")
+        out.sort(key=sorted)
+        return out
 
 
 def _phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
@@ -56,23 +68,6 @@ def _phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
         monomial = tuple((idx, 1) for idx in incident) + ((m + v - 1, 1),)
         terms[monomial] = 1
     return Element(signature, terms)
-
-
-def _expand_by_size(rep: PhiRepresentation, k: int) -> dict[int, list[frozenset]]:
-    power = rep.element**k
-    by_size: dict[int, set] = {}
-    kf = factorial(k)
-    seen_full = set()
-    for xs, coeff in rep.packed_x_sets(power):
-        if len(xs) == k:
-            # at full size the coefficient of each surviving index set is exactly k!
-            if xs in seen_full:
-                raise InvariantError(f"index set {sorted(xs)} appeared twice")
-            if coeff != kf:
-                raise InvariantError(f"coefficient {coeff} != {k}! for {sorted(xs)}")
-            seen_full.add(xs)
-        by_size.setdefault(len(xs), set()).add(xs)
-    return {size: sorted(sets, key=sorted) for size, sets in sorted(by_size.items())}
 
 
 # -- graphs ----------------------------------------------------------------------
@@ -105,19 +100,7 @@ def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple[frozenset, int]]
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    rep = independent_set_representation(g)
-    kf = factorial(k)
-    out = []
-    for xs, coeff in rep.packed_x_sets(rep.element**k):
-        # index-2 edge labels force k distinct vertices
-        if len(xs) != k:
-            raise InvariantError(f"unexpected index set size {len(xs)}")
-        count, remainder = divmod(coeff, kf)
-        if remainder or count != 1:
-            raise InvariantError(f"coefficient {coeff} != {k}!")
-        out.append((xs, count))
-    out.sort(key=lambda t: sorted(t[0]))
-    return out
+    return [(xs, 1) for xs in independent_set_representation(g).level_sets(k)]
 
 
 def graph_cliques(g: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
@@ -153,14 +136,17 @@ def weak_representation(h: Hypergraph) -> PhiRepresentation:
 
 
 def weak_independent_sets(h: Hypergraph, k: int) -> dict[int, list[frozenset]]:
-    """Vertex sets containing no hyperedge, from the k-th power, keyed by size.
+    """All k-sets of vertices containing no hyperedge, as ``{k: sets}``.
 
-    The size-k entry is complete; smaller sizes arise from repeated vertex
-    choices and are reported as-is.
+    The result is ``{}`` when there is no such set; only size k is reported.
+    The paper's k-th power also leaves smaller index sets behind, from
+    choosing a vertex twice; they are not the k-sets asked for, and the
+    subset products never form them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return _expand_by_size(weak_representation(h), k)
+    sets = weak_representation(h).level_sets(k)
+    return {k: sets} if sets else {}
 
 
 def k_independent_representation(h: Hypergraph, k: int) -> PhiRepresentation:
@@ -179,8 +165,7 @@ def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[frozenset]:
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    rep = k_independent_representation(h, k)
-    return _expand_by_size(rep, size).get(size, [])
+    return k_independent_representation(h, k).level_sets(size)
 
 
 def strong_independent_sets(h: Hypergraph, size: int) -> list[frozenset]:

@@ -1,26 +1,26 @@
-"""Matching enumeration via the zeon incidence element and its powers.
+"""Matching enumeration from the zeon incidence element's edge blades.
 
 The incidence element sums one square-free blade of index-2 vertex generators
-per hyperedge.  Its k-th power keeps exactly the products of k pairwise
-disjoint edges (any shared vertex squares to zero), each counted k! times for
-the orderings, so dividing coefficients by k! counts k-matchings per covered
-vertex set.  Edge-subset views come from independent sets of the intersection
-graph, which also yields j-intersecting matchings.
+per hyperedge.  The paper reads k-matchings from its k-th power divided by k!;
+here the products of all k-subsets of the edge blades are formed directly
+(:func:`~hyperzeon.algebra.subset_products`), each subset once.  A product
+survives exactly when its k edges are pairwise disjoint (a shared vertex
+squares to zero), so its coefficient counts the k-matchings covering its
+vertex set.  Edge-subset views come from independent sets of the
+intersection graph, which also yields j-intersecting matchings.
 """
 
 from __future__ import annotations
 
 import warnings
-from math import factorial
 
-from .algebra import Element, Signature
-from .errors import InvariantError
+from .algebra import Element, Signature, subset_products
 from .hypergraph import Hypergraph
 from .independent_sets import graph_independent_sets
 
 
 def _check_distinct_edges(h: Hypergraph):
-    # duplicate edges merge into one blade with coefficient 2 and break the k! count
+    # duplicate edges would merge into one blade with coefficient 2
     if len(set(h.edges)) != h.m:
         raise ValueError("matching enumeration requires pairwise distinct hyperedges")
 
@@ -40,14 +40,9 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_distinct_edges(h)
     gamma = incidence_representation(h)
-    decode = gamma.signature.decode
-    kf = factorial(k)
-    out = []
-    for key, coeff in (gamma**k).packed.items():
-        count, remainder = divmod(coeff, kf)
-        if remainder:
-            raise InvariantError(f"coefficient {coeff} not divisible by {k}!")
-        out.append((frozenset(g + 1 for g, _ in decode(key)), count))
+    sig = gamma.signature
+    level = dict(subset_products(sig, gamma.packed, k)).get(k, {})
+    out = [(frozenset(g + 1 for g, _ in sig.decode(key)), count) for key, count in level.items()]
     out.sort(key=lambda t: sorted(t[0]))
     return out
 
@@ -55,10 +50,10 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
 def perfect_matching_count(h: Hypergraph) -> int:
     """Number of pairwise-disjoint edge families covering every vertex, for uniform inputs.
 
-    Reads the full-blade coefficient of the (n/r)-th power of the incidence
-    element.  Non-uniform inputs, or vertex counts not divisible by the edge
-    size, return 0 with a warning; spanning_matching_count handles the general
-    case.
+    Reads the full-blade coefficient among the products of (n/r)-subsets of
+    the edge blades.  Non-uniform inputs, or vertex counts not divisible by
+    the edge size, return 0 with a warning; spanning_matching_count handles
+    the general case.
     """
     _check_distinct_edges(h)
     r = h.uniform_rank()
@@ -72,37 +67,24 @@ def perfect_matching_count(h: Hypergraph) -> int:
     if k == 0:
         return 1 if h.n == 0 else 0
     gamma = incidence_representation(h)
-    full = gamma.signature.encode((g, 1) for g in range(h.n))
-    coeff = (gamma**k).packed.get(full, 0)
-    count, remainder = divmod(coeff, factorial(k))
-    if remainder:
-        raise InvariantError(f"coefficient {coeff} not divisible by {k}!")
-    return count
+    sig = gamma.signature
+    full = sig.encode((g, 1) for g in range(h.n))
+    return dict(subset_products(sig, gamma.packed, k)).get(k, {}).get(full, 0)
 
 
 def spanning_matching_count(h: Hypergraph) -> int:
     """Perfect-matching count without the uniformity assumption.
 
-    Sums the full-blade coefficient of every feasible power of the incidence
-    element (at most one power contributes for uniform inputs).
+    Sums the full-blade coefficient over the products of k-subsets of the
+    edge blades, for every k (at most one k contributes for uniform inputs).
     """
     _check_distinct_edges(h)
     if h.n == 0:
         return 1
     gamma = incidence_representation(h)
-    full = gamma.signature.encode((g, 1) for g in range(h.n))
-    total = 0
-    power = gamma
-    for k in range(1, h.n + 1):
-        if not power:
-            break
-        coeff = power.packed.get(full, 0)
-        count, remainder = divmod(coeff, factorial(k))
-        if remainder:
-            raise InvariantError(f"coefficient {coeff} not divisible by {k}!")
-        total += count
-        power = power * gamma
-    return total
+    sig = gamma.signature
+    full = sig.encode((g, 1) for g in range(h.n))
+    return sum(level.get(full, 0) for _, level in subset_products(sig, gamma.packed))
 
 
 def j_intersecting_matchings(h: Hypergraph, j: int, k: int) -> list[frozenset]:

@@ -149,6 +149,8 @@ def brute_independent(h: Hypergraph, mode: str, size: int, k: int | None = None)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    if size > h.n:
+        return []  # combinations() would allocate `size` indices before finding none
     hits = [frozenset(c) for c in combinations(range(1, h.n + 1), size) if pred(frozenset(c))]
     return _sorted_sets(hits)
 
@@ -156,6 +158,8 @@ def brute_independent(h: Hypergraph, mode: str, size: int, k: int | None = None)
 def brute_matchings(h: Hypergraph, k: int) -> list[frozenset]:
     """All sets of k pairwise-disjoint edges, as frozensets of 1-based edge ids."""
     _guard(h)
+    if k > h.m:
+        return []  # as in brute_independent
     hits = []
     for combo in combinations(range(h.m), k):
         edges = [h.edges[i] for i in combo]
@@ -167,6 +171,8 @@ def brute_matchings(h: Hypergraph, k: int) -> list[frozenset]:
 def brute_j_intersecting(h: Hypergraph, j: int, k: int) -> list[frozenset]:
     """All sets of k edges whose pairwise intersections have size <= j (1-based ids)."""
     _guard(h)
+    if k > h.m:
+        return []  # as in brute_independent
     hits = []
     for combo in combinations(range(h.m), k):
         edges = [h.edges[i] for i in combo]

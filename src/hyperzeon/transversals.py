@@ -1,14 +1,14 @@
 """Minimum-cardinality transversal enumeration over an all-idempotent context.
 
 Each non-isolated vertex contributes the product of its incident edge labels
-times its own label, everything idempotent.  Powers of that sum accumulate
-coverage: the first power whose expansion contains the full edge blade yields
-the transversal number, and the vertex index sets attached to that blade are
+times its own label, everything idempotent.  The paper raises the sum σ of
+these factors to successive powers until the expansion contains the full edge
+blade.  Here the products of all j-subsets of the factors are formed for
+j = 1, 2, ... (:func:`~hyperzeon.algebra.subset_products`): the first level
+that carries the full edge blade is the first such power of σ, its j is the
+transversal number, and the vertex index sets attached to that blade are
 exactly the minimum transversals.  Isolated vertices can never help cover an
-edge, so they are dropped up front and reported.  Each power is kept whole:
-dropping the terms that another term dominates (more edges covered with no
-more vertices) never changes the result, and on the conjecture harness's
-instances it cost several times what it saved.
+edge, so they are dropped up front and reported.
 
 Generator ids: edge labels 0..m-1 ("ε", 1-based subscripts), vertex labels
 m..m+n-1 ("x").
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Signature
+from .algebra import Element, Signature, subset_products
 from .errors import InvariantError
 from .hypergraph import Hypergraph
 
@@ -50,29 +50,26 @@ def transversal_representation(h: Hypergraph) -> TransversalRepresentation:
 def minimum_transversals(h: Hypergraph) -> tuple[int, list[frozenset]]:
     """(tau, every minimum-cardinality vertex set meeting all edges).
 
-    Iterates powers of the representation until a term carries the full edge
-    blade.  At that first power k every full-blade vertex set has size exactly
-    k: a smaller one would have produced the full blade at a smaller power.
+    Forms the products of j-subsets of the vertex factors, level by level,
+    until one carries the full edge blade.  At that first level every
+    full-blade vertex set has size exactly j: a smaller one would have covered
+    every edge at a lower level.
     """
     if h.m < 1:
         raise ValueError("transversal search needs at least one edge")
     rep = transversal_representation(h)
     sig = rep.element.signature
     full_edges = sig.mask(range(h.m))
-    power = rep.element
-    active = len(rep.element.terms)
-    for k in range(1, active + 1):
+    for j, level in subset_products(sig, rep.element.packed):
         hits = []
-        for key in power.packed:
+        for key in level:
             if key & full_edges == full_edges:
                 vs = frozenset(g - h.m + 1 for g, _ in sig.decode(key & ~full_edges))
-                if len(vs) != k:
-                    raise InvariantError(f"full-blade vertex set {sorted(vs)} at power {k}")
+                if len(vs) != j:
+                    raise InvariantError(f"full-blade vertex set {sorted(vs)} at level {j}")
                 hits.append(vs)
         if hits:
-            return k, sorted(hits, key=sorted)
-        if k < active:
-            power = power * rep.element
+            return j, sorted(hits, key=sorted)
     raise InvariantError("no transversal found, yet every edge is non-empty")
 
 

@@ -92,12 +92,18 @@ class TestStructureCommands:
         )
         assert code == 0
         assert report["by_size"] == {
-            "3": [[2, 5, 7], [2, 6, 7]],
-            "4": [[2, 3, 5, 7], [2, 4, 5, 7]],
             "5": [[2, 3, 4, 5, 7]],
         }
         assert report["complete_size"] == 5
         assert report["removed_isolated"] == []
+
+    def test_weak_without_a_set_of_that_size(self, capsys):
+        code, report, _ = run(
+            capsys, ["independent-sets", "--file", SAMPLE7_PATH, "--mode", "weak", "--size", "6"]
+        )
+        assert code == 0
+        assert report["by_size"] == {}
+        assert report["complete_size"] == 6
 
     def test_weak_strips_isolated(self, capsys, monkeypatch):
         # vertex 2 is isolated; ids in the report refer to the original labels

@@ -179,6 +179,8 @@ class TestGenerators:
             generate_union_closed(0, 1, 0)
         with pytest.raises(ValueError):
             generate_union_closed(3, 0, 0)
+        with pytest.raises(BudgetError):
+            generate_union_closed(10**18, 1, 0)
 
 
 class TestHarness:

@@ -1,6 +1,7 @@
 """Hypergraph container, parsers, and derived graphs."""
 
 import copy
+import itertools
 import json
 import pickle
 import random
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE7_TEXT, random_hypergraph
-from hyperzeon.errors import ParseError
+from hyperzeon.errors import BudgetError, ParseError
 from hyperzeon.hypergraph import (
+    MAX_SIZE,
     Hypergraph,
     emit,
     parse,
@@ -43,6 +45,21 @@ class TestConstruction:
             Hypergraph(3, [{1, 4}])
         with pytest.raises(ValueError):
             Hypergraph(3, [{0, 1}])
+
+    def test_size_limit(self):
+        # each fails before anything is allocated for the oversized count
+        with pytest.raises(BudgetError):
+            Hypergraph(10**15, [])
+        with pytest.raises(BudgetError):
+            Hypergraph(MAX_SIZE + 1, [])
+        with pytest.raises(BudgetError):
+            Hypergraph(1, itertools.repeat([1]))
+        for header in ("1000000000000000 0", f"1 {MAX_SIZE + 1}", f"{MAX_SIZE + 1} 0"):
+            with pytest.raises(BudgetError):
+                parse_text(header + "\n")
+        with pytest.raises(BudgetError):
+            parse_json('{"n": 1000000000000000, "edges": []}')
+        assert Hypergraph(MAX_SIZE, [[1]] * MAX_SIZE).m == MAX_SIZE
 
     def test_empty_hypergraph(self):
         h = Hypergraph(0, [])

@@ -6,10 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from hyperzeon import independent_sets
 from hyperzeon.cli import main
 from hyperzeon.errors import InvariantError
 from hyperzeon.hypergraph import Hypergraph
-from hyperzeon.matchings import k_matchings
+from hyperzeon.independent_sets import graph_independent_sets
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperzeon"
 
@@ -24,14 +25,23 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_bad_factorial_coefficient_raises_and_exits_two(monkeypatch, capsys):
+def test_bad_level_coefficient_raises_and_exits_two(monkeypatch, capsys):
     h = Hypergraph(4, [{1, 2}, {3, 4}])
-    assert k_matchings(h, 2) == [(frozenset({1, 2, 3, 4}), 1)]
-    monkeypatch.setattr("hyperzeon.matchings.factorial", lambda k: 7)
-    with pytest.raises(InvariantError, match="not divisible"):
-        k_matchings(h, 2)
+    assert graph_independent_sets(h, 2) == [
+        (frozenset({1, 3}), 1), (frozenset({1, 4}), 1), (frozenset({2, 3}), 1), (frozenset({2, 4}), 1)
+    ]
+    real = independent_sets.subset_products
+
+    def doubled(signature, factors, depth=None):
+        # every subset counted twice, as a k-th power would without its k! division
+        for j, level in real(signature, factors, depth):
+            yield j, {key: 2 * c for key, c in level.items()}
+
+    monkeypatch.setattr(independent_sets, "subset_products", doubled)
+    with pytest.raises(InvariantError, match="coefficient 2 at level 2"):
+        graph_independent_sets(h, 2)
     monkeypatch.setattr("sys.stdin", io.StringIO("4 2\n1 2\n3 4\n"))
-    assert main(["matchings", "--k", "2"]) == 2
+    assert main(["independent-sets", "--mode", "graph", "--size", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:")

@@ -110,3 +110,9 @@ class TestBudget:
         big = Hypergraph(2, [{1, 2}] * 11)
         with pytest.raises(BudgetError):
             brute_matchings(big, 1)
+
+    def test_sizes_beyond_the_instance_are_empty(self, sample7):
+        # itertools.combinations would allocate one index per requested element
+        assert brute_independent(sample7, "weak", 10**18) == []
+        assert brute_matchings(sample7, 10**18) == []
+        assert brute_j_intersecting(sample7, 1, 10**18) == []
