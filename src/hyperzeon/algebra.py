@@ -327,6 +327,13 @@ def subset_products(signature: Signature, factors, depth: int | None = None):
         j += 1
 
 
+def subset_level(signature: Signature, factors, k: int) -> dict:
+    """Level k of :func:`subset_products`: the products of all k-subsets, or {}."""
+    for _, level in subset_products(signature, factors, k):
+        return level
+    return {}
+
+
 class _Terms(Mapping):
     """Read-only view of packed terms keyed by canonical tuple monomials."""
 

@@ -8,8 +8,10 @@ Two interchangeable input formats are supported:
 
 Edges are unordered, non-empty vertex sets.  Duplicate edges are representable
 (operations that require distinct edges validate on their own); a repeated
-vertex inside one edge is rejected as a likely typo.  Vertex and edge counts
-above :data:`MAX_SIZE` raise BudgetError before anything is allocated for them.
+vertex inside one edge is rejected as a likely typo.  A vertex count above
+:data:`MAX_SIZE` raises BudgetError in :class:`Hypergraph`, and the parsers
+raise it for an input edge count above the same limit, each before anything
+is allocated for the oversized count.
 """
 
 from __future__ import annotations
@@ -19,9 +21,12 @@ from typing import Iterable
 
 from .errors import BudgetError, ParseError
 
-# Largest vertex count n and edge count m accepted.  Every enumeration is exact
-# and exponential in some size, and the walk matrices hold n * n entries, so
-# larger inputs could only exhaust memory or time.
+# Largest vertex count n, and largest edge count m of an input, accepted.  Every
+# enumeration is exact and exponential in some size, and the walk matrices hold
+# n * n entries, so larger inputs could only exhaust memory or time.  Graphs
+# derived from an input (complements, intersection graphs, added loops) may
+# carry more edges than this, but never more vertices than the input has
+# vertices or edges, so only n is checked on construction.
 MAX_SIZE = 1000
 
 
@@ -37,8 +42,6 @@ class Hypergraph:
             raise BudgetError(f"vertex count {n} exceeds the limit of {MAX_SIZE}")
         out = []
         for e in edges:
-            if len(out) == MAX_SIZE:
-                raise BudgetError(f"more than {MAX_SIZE} edges")
             e = frozenset(e)
             if not e:
                 raise ValueError("edges must be non-empty")
@@ -178,8 +181,8 @@ def parse_text(text: str) -> Hypergraph:
         raise ParseError(f"header must be two integers, got {header!r}", line=no) from None
     if n < 0 or m < 0:
         raise ParseError("n and m must be >= 0", line=no)
-    if n > MAX_SIZE or m > MAX_SIZE:
-        raise BudgetError(f"n and m are limited to {MAX_SIZE}, got {n} and {m}")
+    if m > MAX_SIZE:
+        raise BudgetError(f"edge count {m} exceeds the limit of {MAX_SIZE}")
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}")
@@ -215,6 +218,8 @@ def parse_json(text: str) -> Hypergraph:
     edges = obj["edges"]
     if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
         raise ParseError("'edges' must be a list of lists")
+    if len(edges) > MAX_SIZE:
+        raise BudgetError(f"edge count {len(edges)} exceeds the limit of {MAX_SIZE}")
     for e in edges:
         for v in e:
             if not isinstance(v, int) or isinstance(v, bool):

@@ -3,7 +3,7 @@
 Each vertex contributes one factor: the product of its incident edge labels
 with its own idempotent label.  The paper sums the factors and reads k-sets
 from the k-th power divided by k!; here the products of all k-subsets of the
-factors are formed directly (:func:`~hyperzeon.algebra.subset_products`),
+factors are formed directly (:func:`~hyperzeon.algebra.subset_level`),
 each subset once with coefficient 1.  A product vanishes when the subset
 overuses an edge: with index-2 edge labels on a graph this enforces pairwise
 non-adjacency, with index-|e| labels it forbids containing a whole hyperedge
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Element, Signature, subset_products
+from .algebra import Element, Signature, subset_level
 from .errors import InvariantError
 from .hypergraph import Hypergraph
 
@@ -42,7 +42,7 @@ class PhiRepresentation:
         """The index sets of the k-subset products of this representation's factors, sorted."""
         sig = self.element.signature
         vertices = sig.mask(range(self.edge_count, len(sig)))
-        level = dict(subset_products(sig, self.element.packed, k)).get(k, {})
+        level = subset_level(sig, self.element.packed, k)
         out = []
         for key, coeff in level.items():
             xs = self.x_set(sig.decode(key & vertices))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 
-from .algebra import Element, Signature, subset_products
+from .algebra import Element, Signature, subset_level, subset_products
 from .hypergraph import Hypergraph
 from .independent_sets import graph_independent_sets
 
@@ -41,7 +41,7 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
     _check_distinct_edges(h)
     gamma = incidence_representation(h)
     sig = gamma.signature
-    level = dict(subset_products(sig, gamma.packed, k)).get(k, {})
+    level = subset_level(sig, gamma.packed, k)
     out = [(frozenset(g + 1 for g, _ in sig.decode(key)), count) for key, count in level.items()]
     out.sort(key=lambda t: sorted(t[0]))
     return out
@@ -69,7 +69,7 @@ def perfect_matching_count(h: Hypergraph) -> int:
     gamma = incidence_representation(h)
     sig = gamma.signature
     full = sig.encode((g, 1) for g in range(h.n))
-    return dict(subset_products(sig, gamma.packed, k)).get(k, {}).get(full, 0)
+    return subset_level(sig, gamma.packed, k).get(full, 0)
 
 
 def spanning_matching_count(h: Hypergraph) -> int:

@@ -12,12 +12,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperzeon.cli import main
 from hyperzeon.errors import BudgetError, ParseError
-from hyperzeon.hypergraph import Hypergraph, parse
+from hyperzeon.hypergraph import MAX_SIZE, Hypergraph, parse
 
 NUMBERS = st.one_of(
     st.integers(1, 4), st.integers(-3, 8), st.sampled_from([0, 10**18, -(10**18), 1001])
@@ -124,14 +125,21 @@ def test_main_exits_with_a_documented_code(argv, data):
         assert out == ""
 
 
-def test_huge_header_exits_three_before_allocating():
-    for header in ("1000000000000000 0\n", "3 1000000000000000\n",
-                   '{"n": 1000000000000000, "edges": []}'):
-        for argv in (
-            ["transversals"],
-            ["matchings", "--k", "2"],
-            ["paths", "--from", "1", "--to", "2", "--k", "1"],
-        ):
-            code, out, err = _run(argv, header.encode())
-            assert (code, out) == (3, ""), (header, argv, err)
-            assert err.startswith("budget exceeded:")
+@pytest.mark.parametrize("data", [
+    "1000000000000000 0\n",
+    f"{MAX_SIZE + 1} 0\n",
+    "3 1000000000000000\n",
+    f"1 {MAX_SIZE + 1}\n",
+    '{"n": 1000000000000000, "edges": []}',
+    json.dumps({"n": 1, "edges": [[1]] * (MAX_SIZE + 1)}),
+])
+def test_oversized_input_exits_three(data):
+    # each count is rejected before anything is allocated for it
+    for argv in (
+        ["transversals"],
+        ["matchings", "--k", "2"],
+        ["paths", "--from", "1", "--to", "2", "--k", "1"],
+    ):
+        code, out, err = _run(argv, data.encode())
+        assert (code, out) == (3, ""), (data, argv, err)
+        assert err.startswith("budget exceeded:")

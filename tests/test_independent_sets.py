@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from conftest import random_graph, random_hypergraph, strip_isolated
-from hyperzeon.hypergraph import Hypergraph
+from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.independent_sets import (
     graph_cliques,
     graph_independent_sets,
@@ -75,6 +75,17 @@ class TestGraphCliques:
             frozenset({1, 2}),
             frozenset({2, 3}),
         }
+
+    def test_sparse_graph_whose_complement_exceeds_the_input_limit(self):
+        # 25 disjoint edges on 50 vertices: the non-adjacency graph has 1200 edges
+        g = Hypergraph(50, [{v, v + 1} for v in range(1, 50, 2)])
+        assert g.non_adjacency_graph().m > MAX_SIZE
+        edges = sorted(sorted(e) for e in g.edges)
+        assert set_list(graph_cliques(g, 2)) == edges
+        assert sorted(map(sorted, pairwise_adjacent_sets(g, 2))) == edges
+        edgeless = Hypergraph(50, [])
+        assert graph_cliques(edgeless, 2) == []
+        assert len(graph_independent_sets(edgeless, 2)) == 50 * 49 // 2
 
     def test_oracle_equivalence(self):
         rng = random.Random(23)

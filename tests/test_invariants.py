@@ -30,14 +30,13 @@ def test_bad_level_coefficient_raises_and_exits_two(monkeypatch, capsys):
     assert graph_independent_sets(h, 2) == [
         (frozenset({1, 3}), 1), (frozenset({1, 4}), 1), (frozenset({2, 3}), 1), (frozenset({2, 4}), 1)
     ]
-    real = independent_sets.subset_products
+    real = independent_sets.subset_level
 
-    def doubled(signature, factors, depth=None):
+    def doubled(signature, factors, k):
         # every subset counted twice, as a k-th power would without its k! division
-        for j, level in real(signature, factors, depth):
-            yield j, {key: 2 * c for key, c in level.items()}
+        return {key: 2 * c for key, c in real(signature, factors, k).items()}
 
-    monkeypatch.setattr(independent_sets, "subset_products", doubled)
+    monkeypatch.setattr(independent_sets, "subset_level", doubled)
     with pytest.raises(InvariantError, match="coefficient 2 at level 2"):
         graph_independent_sets(h, 2)
     monkeypatch.setattr("sys.stdin", io.StringIO("4 2\n1 2\n3 4\n"))

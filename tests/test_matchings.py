@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_hypergraph
 from hyperzeon.algebra import Element, nilpotency_index
-from hyperzeon.hypergraph import Hypergraph
+from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.matchings import (
     incidence_representation,
     incidence_signature,
@@ -186,6 +186,14 @@ class TestJIntersecting:
         for k in (2, 3):
             got = j_intersecting_matchings(sample7, 7, k)
             assert len(got) == comb(6, k)
+
+    def test_star_whose_intersection_graph_exceeds_the_input_limit(self):
+        # 46 edges through vertex 1: the j=0 intersection graph has 1035 edges
+        star = Hypergraph(47, [{1, v} for v in range(2, 48)])
+        assert star.intersection_graph(0).m > MAX_SIZE
+        assert j_intersecting_matchings(star, 0, 2) == []
+        assert len(j_intersecting_matchings(star, 0, 1)) == 46
+        assert len(j_intersecting_matchings(star, 1, 2)) == comb(46, 2)
 
     def test_contract_violations(self, sample7):
         with pytest.raises(ValueError):

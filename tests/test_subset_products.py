@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_hypergraph, strip_isolated
-from hyperzeon.algebra import Signature, nilpotency_index, subset_products
+from hyperzeon.algebra import Signature, nilpotency_index, subset_level, subset_products
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import (
     independent_set_representation,
@@ -48,8 +48,10 @@ class TestKernel:
         full = levels(sig, factors)
         for depth in range(1, 7):
             assert levels(sig, factors, depth) == {depth: full[depth]}
+            assert subset_level(sig, factors, depth) == full[depth]
         assert levels(sig, factors, 7) == {}
         assert levels(sig, factors, 10**18) == {}
+        assert subset_level(sig, factors, 10**18) == {}
         with pytest.raises(ValueError):
             levels(sig, factors, 0)
 
@@ -74,7 +76,7 @@ def _check_phi_identity(rep, k):
     sig = rep.element.signature
     power = rep.element**k
     grade_k = {key: c for key, c in power.packed.items() if len(rep.x_set(sig.decode(key))) == k}
-    level = levels(sig, rep.element.packed, k).get(k, {})
+    level = subset_level(sig, rep.element.packed, k)
     assert grade_k == {key: factorial(k) * c for key, c in level.items()}
 
 
