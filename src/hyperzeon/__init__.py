@@ -1,108 +1,55 @@
-"""Exact zeon / idem-Clifford algebra kernel with hypergraph structure enumeration."""
+"""Exact zeon / idem-Clifford algebra kernel with hypergraph structure enumeration.
 
-from .algebra import Element, GeneratorRule, Signature, annihilates, monomial_ids, nilpotency_index
-from .conjectures import (
-    FranklReport,
-    RyserReport,
-    check_frankl,
-    check_ryser,
-    gamma_element,
-    generate_ryser_instance,
-    generate_union_closed,
-    run_frankl_trials,
-    run_ryser_trials,
-    ryser_partition,
-)
-from .errors import BudgetError, ContextError, InvariantError, ParseError
-from .hypergraph import Hypergraph, emit, parse, parse_json, parse_text, to_json_dict
-from .independent_sets import (
-    PhiRepresentation,
-    graph_cliques,
-    graph_independent_sets,
-    independent_set_representation,
-    k_independent_sets,
-    pairwise_adjacent_sets,
-    strong_independent_sets,
-    weak_independent_sets,
-    weak_representation,
-)
-from .matchings import (
-    incidence_representation,
-    j_intersecting_matchings,
-    k_matchings,
-    perfect_matching_count,
-    spanning_matching_count,
-)
-from .transversals import (
-    TransversalRepresentation,
-    minimum_transversals,
-    transversal_number,
-    transversal_representation,
-)
-from .walks import (
-    AlgebraMatrix,
-    WalkRecord,
-    build_bipartite,
-    build_blocks,
-    build_omega,
-    k_cycles,
-    k_paths,
-    k_trails,
-)
+The public names load their module on first access (PEP 562), so importing one
+submodule, such as the command line, does not import the others.
+"""
+
+from importlib import import_module
+
+_EXPORTS = {
+    "algebra": (
+        "Element", "GeneratorRule", "Signature", "annihilates", "monomial_ids", "nilpotency_index",
+    ),
+    "conjectures": (
+        "FranklReport", "RyserReport", "check_frankl", "check_ryser", "gamma_element",
+        "generate_ryser_instance", "generate_union_closed", "run_frankl_trials",
+        "run_ryser_trials", "ryser_partition",
+    ),
+    "errors": ("BudgetError", "ContextError", "InvariantError", "ParseError"),
+    "hypergraph": ("Hypergraph", "emit", "parse", "parse_json", "parse_text", "to_json_dict"),
+    "independent_sets": (
+        "PhiRepresentation", "graph_cliques", "graph_independent_sets",
+        "independent_set_representation", "k_independent_sets", "pairwise_adjacent_sets",
+        "strong_independent_sets", "weak_independent_sets", "weak_representation",
+    ),
+    "matchings": (
+        "incidence_representation", "j_intersecting_matchings", "k_matchings",
+        "perfect_matching_count", "spanning_matching_count",
+    ),
+    "transversals": (
+        "TransversalRepresentation", "minimum_transversals", "transversal_number",
+        "transversal_representation",
+    ),
+    "walks": (
+        "AlgebraMatrix", "WalkRecord", "build_bipartite", "build_blocks", "build_omega",
+        "k_cycles", "k_paths", "k_trails",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraMatrix",
-    "BudgetError",
-    "ContextError",
-    "Element",
-    "FranklReport",
-    "GeneratorRule",
-    "Hypergraph",
-    "InvariantError",
-    "ParseError",
-    "PhiRepresentation",
-    "RyserReport",
-    "Signature",
-    "TransversalRepresentation",
-    "WalkRecord",
-    "annihilates",
-    "build_bipartite",
-    "build_blocks",
-    "build_omega",
-    "check_frankl",
-    "check_ryser",
-    "emit",
-    "gamma_element",
-    "generate_ryser_instance",
-    "generate_union_closed",
-    "graph_cliques",
-    "graph_independent_sets",
-    "incidence_representation",
-    "independent_set_representation",
-    "j_intersecting_matchings",
-    "k_cycles",
-    "k_independent_sets",
-    "k_matchings",
-    "k_paths",
-    "k_trails",
-    "minimum_transversals",
-    "monomial_ids",
-    "nilpotency_index",
-    "pairwise_adjacent_sets",
-    "parse",
-    "parse_json",
-    "parse_text",
-    "perfect_matching_count",
-    "run_frankl_trials",
-    "run_ryser_trials",
-    "ryser_partition",
-    "spanning_matching_count",
-    "strong_independent_sets",
-    "to_json_dict",
-    "transversal_number",
-    "transversal_representation",
-    "weak_independent_sets",
-    "weak_representation",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

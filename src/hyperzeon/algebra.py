@@ -74,7 +74,8 @@ class Signature:
     """
 
     __slots__ = (
-        "rules", "names", "_caps", "_shifts", "_values", "_bit_gid", "_idem", "_bias", "_guard",
+        "rules", "names", "_caps", "_shifts", "_values", "_clear", "_bit_gid", "_idem", "_bias",
+        "_guard",
     )
 
     def __init__(self, rules: Iterable[GeneratorRule], names=None):
@@ -91,7 +92,7 @@ class Signature:
         self.names = names
         # 0 encodes "idempotent"
         self._caps = tuple(0 if r.is_idempotent else r.nilpotent_index for r in self.rules)
-        shifts, values, bit_gid = [], [], []
+        shifts, values, clear, bit_gid = [], [], [], []
         idem = bias = guard = 0
         shift = 0
         for gid, cap in enumerate(self._caps):
@@ -105,10 +106,12 @@ class Signature:
                 v = width = 1
                 idem |= 1 << shift
             values.append((1 << v) - 1)
+            clear.append(~(((1 << width) - 1) << shift))
             bit_gid.extend([gid] * width)
             shift += width
         self._shifts = tuple(shifts)
         self._values = tuple(values)  # value-bit mask of each field, unshifted
+        self._clear = tuple(clear)  # AND-mask removing each whole field
         self._bit_gid = tuple(bit_gid)
         self._idem = idem
         self._bias = bias
@@ -201,6 +204,20 @@ class Signature:
             out.append((g, exp))
             key ^= exp << shift
         return tuple(out)
+
+    def support(self, key: int) -> list[int]:
+        """The ids of the generators present in a packed key, ascending, each once.
+
+        Cheaper than :meth:`decode` when the exponents are not needed: each
+        generator found clears its whole field.
+        """
+        out = []
+        bit_gid, clear = self._bit_gid, self._clear
+        while key:
+            g = bit_gid[(key & -key).bit_length() - 1]
+            out.append(g)
+            key &= clear[g]
+        return out
 
     def mask(self, gids: Iterable[int]) -> int:
         """The value bits of the given generators' fields.
@@ -531,10 +548,10 @@ class Element:
 
     def grade_part(self, k: int) -> "Element":
         """Terms whose monomial involves exactly k distinct generators."""
-        decode = self.signature.decode
+        support = self.signature.support
         return Element(
             self.signature,
-            {m: c for m, c in self._terms.items() if len(decode(m)) == k},
+            {m: c for m, c in self._terms.items() if len(support(m)) == k},
             _raw=True,
         )
 
@@ -545,8 +562,8 @@ class Element:
         """Least generator count among nonzero terms; 0 for the zero element."""
         if not self._terms:
             return 0
-        decode = self.signature.decode
-        return min(len(decode(m)) for m in self._terms)
+        support = self.signature.support
+        return min(len(support(m)) for m in self._terms)
 
     # -- rendering ----------------------------------------------------------
 

@@ -14,19 +14,10 @@ import json
 import sys
 
 from . import hypergraph as hg
-from . import oracle
-from .conjectures import run_frankl_trials, run_ryser_trials
 from .errors import BudgetError, InvariantError, ParseError
-from .independent_sets import (
-    graph_independent_sets,
-    k_independent_sets,
-    pairwise_adjacent_sets,
-    strong_independent_sets,
-    weak_independent_sets,
-)
-from .matchings import j_intersecting_matchings, k_matchings, perfect_matching_count
-from .transversals import minimum_transversals
-from .walks import k_cycles, k_paths, k_trails
+
+# Each handler imports its enumerator module itself, so a process loads only
+# the modules its subcommand uses.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,6 +60,8 @@ def _sets_json(sets) -> list[list[int]]:
 
 
 def _cmd_paths(args):
+    from .walks import k_paths
+
     h = _load(args)
     records = k_paths(h, args.src, args.dst, args.k)
     return {"kind": "paths", "from": args.src, "to": args.dst, "k": args.k,
@@ -76,6 +69,8 @@ def _cmd_paths(args):
 
 
 def _cmd_cycles(args):
+    from .walks import k_cycles
+
     h = _load(args)
     records = k_cycles(h, args.at, args.k)
     return {"kind": "cycles", "at": args.at, "k": args.k,
@@ -83,6 +78,8 @@ def _cmd_cycles(args):
 
 
 def _cmd_trails(args):
+    from .walks import k_trails
+
     h = _load(args)
     records = k_trails(h, args.src, args.dst, args.k)
     return {"kind": "trails", "from": args.src, "to": args.dst, "k": args.k,
@@ -90,11 +87,13 @@ def _cmd_trails(args):
 
 
 def _cmd_independent(args):
+    from . import independent_sets as ind
+
     h = _load(args)
     mode = args.mode
     report = {"kind": "independent-sets", "mode": mode, "size": args.size}
     if mode == "graph":
-        report["sets"] = _sets_json(vs for vs, _ in graph_independent_sets(h, args.size))
+        report["sets"] = _sets_json(vs for vs, _ in ind.graph_independent_sets(h, args.size))
     elif mode == "weak":
         isolated = h.isolated_vertices()
         back = {v: v for v in range(1, h.n + 1)}
@@ -106,7 +105,7 @@ def _cmd_independent(args):
             relabel = {v: i + 1 for i, v in enumerate(keep)}
             back = {i + 1: v for i, v in enumerate(keep)}
             h = hg.Hypergraph(len(keep), [[relabel[v] for v in e] for e in h.edges])
-        by_size = weak_independent_sets(h, args.size)
+        by_size = ind.weak_independent_sets(h, args.size)
         report["by_size"] = {
             str(size): _sets_json(frozenset(back[v] for v in s) for s in sets)
             for size, sets in by_size.items()
@@ -114,18 +113,20 @@ def _cmd_independent(args):
         report["complete_size"] = args.size
         report["removed_isolated"] = sorted(isolated)
     elif mode == "strong":
-        report["sets"] = _sets_json(strong_independent_sets(h, args.size))
+        report["sets"] = _sets_json(ind.strong_independent_sets(h, args.size))
     elif mode == "k-independent":
         if args.k is None:
             raise ValueError("--k is required for mode k-independent")
         report["k"] = args.k
-        report["sets"] = _sets_json(k_independent_sets(h, args.size, args.k))
+        report["sets"] = _sets_json(ind.k_independent_sets(h, args.size, args.k))
     else:  # pairwise-adjacent
-        report["sets"] = _sets_json(pairwise_adjacent_sets(h, args.size))
+        report["sets"] = _sets_json(ind.pairwise_adjacent_sets(h, args.size))
     return report
 
 
 def _cmd_matchings(args):
+    from .matchings import j_intersecting_matchings, k_matchings, perfect_matching_count
+
     h = _load(args)
     if args.perfect:
         return {"kind": "matchings", "perfect": perfect_matching_count(h)}
@@ -140,6 +141,8 @@ def _cmd_matchings(args):
 
 
 def _cmd_transversals(args):
+    from .transversals import minimum_transversals
+
     h = _load(args)
     isolated = sorted(h.isolated_vertices())
     if h.m == 0:
@@ -149,11 +152,19 @@ def _cmd_transversals(args):
 
 
 def _cmd_conjecture(args):
+    from .conjectures import run_frankl_trials, run_ryser_trials
+
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
+    if args.max_n is not None and args.max_n < 1:
+        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     log = args.log or f"{args.which}_violations.ndjson"
     if args.which == "ryser":
-        summary = run_ryser_trials(args.trials, args.seed, args.max_n or 12, log)
+        max_n = 12 if args.max_n is None else args.max_n
+        summary = run_ryser_trials(args.trials, args.seed, max_n, log)
     else:
-        summary = run_frankl_trials(args.trials, args.seed, args.max_n or 8, log)
+        max_n = 8 if args.max_n is None else args.max_n
+        summary = run_frankl_trials(args.trials, args.seed, max_n, log)
     summary["seed"] = args.seed
     summary["log"] = log if summary["violations"] else None
     if summary["violations"]:
@@ -162,6 +173,8 @@ def _cmd_conjecture(args):
 
 
 def _cmd_oracle(args):
+    from . import oracle
+
     h = _load(args)
     which = args.oracle_command
     if which == "paths":

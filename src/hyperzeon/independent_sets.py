@@ -41,21 +41,21 @@ class PhiRepresentation:
     def level_sets(self, k: int) -> list[frozenset]:
         """The index sets of the k-subset products of this representation's factors, sorted."""
         sig = self.element.signature
+        support = sig.support
         vertices = sig.mask(range(self.edge_count, len(sig)))
+        shift = 1 - self.edge_count  # vertex label id -> 1-based vertex id
         level = subset_level(sig, self.element.packed, k)
         out = []
         for key, coeff in level.items():
-            xs = self.x_set(sig.decode(key & vertices))
+            xs = [g + shift for g in support(key & vertices)]
             # k distinct idempotent labels, and each subset formed exactly once
             if len(xs) != k or coeff != 1:
-                raise InvariantError(
-                    f"index set {sorted(xs)} with coefficient {coeff} at level {k}"
-                )
+                raise InvariantError(f"index set {xs} with coefficient {coeff} at level {k}")
             out.append(xs)
-        if len(set(out)) != len(out):
+        out.sort()
+        if any(a == b for a, b in zip(out, out[1:])):
             raise InvariantError(f"an index set appeared twice at level {k}")
-        out.sort(key=sorted)
-        return out
+        return [frozenset(xs) for xs in out]
 
 
 def _phi(h: Hypergraph, signature: Signature, skip=()) -> Element:

@@ -41,10 +41,12 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
     _check_distinct_edges(h)
     gamma = incidence_representation(h)
     sig = gamma.signature
-    level = subset_level(sig, gamma.packed, k)
-    out = [(frozenset(g + 1 for g, _ in sig.decode(key)), count) for key, count in level.items()]
-    out.sort(key=lambda t: sorted(t[0]))
-    return out
+    support = sig.support
+    rows = sorted(
+        ([g + 1 for g in support(key)], count)
+        for key, count in subset_level(sig, gamma.packed, k).items()
+    )
+    return [(frozenset(vs), count) for vs, count in rows]
 
 
 def perfect_matching_count(h: Hypergraph) -> int:

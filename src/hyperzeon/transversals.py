@@ -59,17 +59,19 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[frozenset]]:
         raise ValueError("transversal search needs at least one edge")
     rep = transversal_representation(h)
     sig = rep.element.signature
+    support = sig.support
     full_edges = sig.mask(range(h.m))
     for j, level in subset_products(sig, rep.element.packed):
         hits = []
         for key in level:
             if key & full_edges == full_edges:
-                vs = frozenset(g - h.m + 1 for g, _ in sig.decode(key & ~full_edges))
+                vs = [g - h.m + 1 for g in support(key & ~full_edges)]
                 if len(vs) != j:
-                    raise InvariantError(f"full-blade vertex set {sorted(vs)} at level {j}")
+                    raise InvariantError(f"full-blade vertex set {vs} at level {j}")
                 hits.append(vs)
         if hits:
-            return j, sorted(hits, key=sorted)
+            hits.sort()
+            return j, [frozenset(vs) for vs in hits]
     raise InvariantError("no transversal found, yet every edge is non-empty")
 
 

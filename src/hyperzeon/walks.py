@@ -11,6 +11,7 @@ idempotently and merely shrink the recorded edge set.  Trails swap the roles
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .algebra import Element, Signature, mul_into
@@ -185,31 +186,39 @@ def _row_times_matrix(row, mat: AlgebraMatrix) -> tuple:
     return tuple(Element.from_packed(sig, acc) for acc in accs)
 
 
-def _row_power(mat: AlgebraMatrix, i: int, k: int, start: Element | None) -> tuple:
-    """Row i of mat**k, with ``start`` multiplied into the first row when given.
+def _row_power(mat: AlgebraMatrix, i: int, k: int, start: Element | None, col: int) -> Element:
+    """Entry (i, col) of mat**k, with ``start`` multiplied into row i first when given.
 
-    Stops once the row is all zero: every later power's row is zero too.
+    Builds row i of mat**(k-1), stopping once the row is all zero (every later
+    power's row is zero too), and multiplies it by column ``col`` alone.
     """
     row = mat.entries[i - 1]
     if start is not None:
         row = tuple(start * x for x in row)
-    for _ in range(k - 1):
+    if k == 1:
+        return row[col - 1]
+    for _ in range(k - 2):
         if not any(row):
             break
         row = _row_times_matrix(row, mat)
-    return row
+    acc: dict = {}
+    for rv, mat_row in zip(row, mat.entries):
+        b = mat_row[col - 1]
+        if rv and b:
+            mul_into(acc, rv, b)
+    return Element.from_packed(mat.signature, acc)
 
 
 def _extract_records(element: Element, n: int) -> list[WalkRecord]:
-    records = []
-    decode = element.signature.decode
+    """One record per term, ordered by sorted vertex ids, then sorted edge ids."""
+    support = element.signature.support
+    rows = []
     for key, coeff in element.packed.items():
-        monomial = decode(key)
-        vs = frozenset(g + 1 for g, _ in monomial if g < n)
-        es = frozenset(g - n + 1 for g, _ in monomial if g >= n)
-        records.append(WalkRecord(vs, es, coeff))
-    records.sort(key=lambda r: (sorted(r.vertex_set), sorted(r.edge_set)))
-    return records
+        gids = support(key)  # ascending: vertex ids below n, edge ids from n
+        split = bisect_left(gids, n)
+        rows.append(([g + 1 for g in gids[:split]], [g - n + 1 for g in gids[split:]], coeff))
+    rows.sort()
+    return [WalkRecord(frozenset(vs), frozenset(es), coeff) for vs, es, coeff in rows]
 
 
 def _check_vertex(h: Hypergraph, v: int):
@@ -230,7 +239,7 @@ def k_paths(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     if k < 1:
         raise ValueError(f"paths need k >= 1, got {k}")
     omega = build_omega(h)
-    entry = _row_power(omega, i, k, omega.signature.gen(i - 1))[j - 1]
+    entry = _row_power(omega, i, k, omega.signature.gen(i - 1), j)
     records = _extract_records(entry, h.n)
     for r in records:
         if len(r.vertex_set) != k + 1 or i not in r.vertex_set or j not in r.vertex_set:
@@ -247,7 +256,7 @@ def k_cycles(h: Hypergraph, i: int, k: int) -> list[WalkRecord]:
     _check_vertex(h, i)
     if k < 2:
         raise ValueError(f"cycles need k >= 2, got {k}")
-    entry = _row_power(build_omega(h), i, k, None)[i - 1]
+    entry = _row_power(build_omega(h), i, k, None, i)
     records = _extract_records(entry, h.n)
     for r in records:
         if len(r.vertex_set) != k or i not in r.vertex_set:
@@ -267,7 +276,7 @@ def k_trails(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     if k < 1:
         raise ValueError(f"trails need k >= 1, got {k}")
     mat = build_trail_matrix(h)
-    entry = _row_power(mat, i, k, mat.signature.gen(i - 1))[j - 1]
+    entry = _row_power(mat, i, k, mat.signature.gen(i - 1), j)
     records = _extract_records(entry, h.n)
     for r in records:
         if len(r.edge_set) != k or i not in r.vertex_set:

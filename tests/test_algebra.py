@@ -368,6 +368,25 @@ class TestPackedKernel:
             assert probe not in u.terms
             assert u.terms.get(probe) is None
 
+    @given(operand_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_support_matches_decode(self, case):
+        sig, a_terms, b_terms = case
+        # products too, so that fields carry exponents reached by addition
+        keys = set(as_element(sig, a_terms).packed)
+        keys |= set((as_element(sig, a_terms) * as_element(sig, b_terms)).packed)
+        for key in keys:
+            assert sig.support(key) == [g for g, _ in sig.decode(key)]
+
+    def test_support_of_multi_bit_fields(self):
+        sig = Signature.generalized_zeons([2, 3, 5, 9]) + Signature.idempotents(2)
+        for e3 in (1, 2):
+            for e5 in range(1, 5):
+                for e9 in range(1, 9):
+                    key = sig.encode(((1, e3), (2, e5), (3, e9), (5, 1)))
+                    assert sig.support(key) == [1, 2, 3, 5]
+        assert sig.support(0) == []
+
     def test_grade_counts_generators_not_bits(self):
         # exponent 7 of an index-9 generator sets three bits of its field
         sig = Signature.generalized_zeons([9, 5]) + Signature.idempotents(1)

@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from conftest import DATA, SAMPLE7_TEXT
+import hyperzeon
 from hyperzeon.cli import main
 
 SAMPLE7_PATH = str(DATA / "sample7.hg")
@@ -275,3 +280,43 @@ class TestHarnessCommands:
         )
         assert code == 0
         assert report["violations"] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["ryser", "--trials", "-5"],
+        ["frankl", "--trials", "-1"],
+        ["ryser", "--max-n", "0"],
+        ["frankl", "--max-n", "0"],
+        ["frankl", "--max-n", "-3"],
+    ])
+    def test_conjecture_rejects_bad_counts(self, capsys, tmp_path, argv):
+        log = str(tmp_path / "v.ndjson")
+        code, report, err = run(capsys, ["conjecture", *argv, "--log", log])
+        assert (code, report) == (2, None)
+        assert err.startswith(f"input error: {argv[1]} must be >= ")
+
+    def test_conjecture_zero_trials(self, capsys, tmp_path):
+        log = str(tmp_path / "v.ndjson")
+        code, report, _ = run(capsys, ["conjecture", "ryser", "--trials", "0", "--log", log])
+        assert code == 0
+        assert (report["trials"], report["violations"]) == (0, 0)
+
+
+class TestImports:
+    def test_cli_import_loads_no_harness_or_oracle(self):
+        src = str(Path(hyperzeon.__file__).resolve().parents[1])
+        probe = (
+            "import sys, hyperzeon.cli; "
+            "print([m for m in ('hyperzeon.conjectures', 'hyperzeon.oracle') if m in sys.modules])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.stdout.strip() == "[]"
+
+    def test_public_names_resolve(self):
+        for name in hyperzeon.__all__:
+            assert getattr(hyperzeon, name).__module__.startswith("hyperzeon.")
+        assert set(hyperzeon.__all__) <= set(dir(hyperzeon))
+        with pytest.raises(AttributeError):
+            hyperzeon.no_such_name  # noqa: B018

@@ -13,7 +13,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperzeon.cli import main
@@ -66,7 +66,7 @@ STDIN = st.one_of(
 
 @st.composite
 def argvs(draw):
-    """One subcommand (conjecture excluded: it writes a log) with fuzzed flag values."""
+    """One subcommand other than ``conjecture`` (fuzzed on its own below) with fuzzed flag values."""
     num = lambda: str(draw(NUMBERS))  # noqa: E731
     command = draw(st.sampled_from([
         "paths", "cycles", "trails", "independent-sets", "matchings", "transversals", "oracle",
@@ -104,6 +104,18 @@ def _run(argv, data: bytes):
     return code, out.getvalue(), err.getvalue()
 
 
+@st.composite
+def conjecture_argvs(draw):
+    """``conjecture`` with trial counts too small to run long and any --max-n."""
+    argv = ["conjecture", draw(st.sampled_from(["ryser", "frankl"]))]
+    argv += ["--trials", str(draw(st.sampled_from([-(10**18), -3, -1, 0, 1, 2, 3])))]
+    argv += ["--seed", str(draw(NUMBERS))]
+    if draw(st.booleans()):
+        max_n = draw(st.one_of(st.integers(-3, 8), st.sampled_from([10**18, -(10**18)])))
+        argv += ["--max-n", str(max_n)]
+    return argv
+
+
 @given(TEXTS)
 @settings(max_examples=300, deadline=None)
 def test_parse_returns_a_hypergraph_or_a_documented_error(text):
@@ -121,6 +133,19 @@ def test_main_exits_with_a_documented_code(argv, data):
     assert code in (0, 1, 2, 3), (argv, data, code, err)
     if code == 0:
         json.loads(out)
+    else:
+        assert out == ""
+
+
+@given(conjecture_argvs())
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_conjecture_exits_with_a_documented_code(tmp_path, argv):
+    code, out, err = _run(argv + ["--log", str(tmp_path / "violations.ndjson")], b"")
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    if code == 0:
+        assert json.loads(out)["violations"] == 0
     else:
         assert out == ""
 

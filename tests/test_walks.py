@@ -14,9 +14,11 @@ from hyperzeon.walks import (
     build_bipartite,
     build_blocks,
     build_omega,
+    build_trail_matrix,
     k_cycles,
     k_paths,
     k_trails,
+    trail_signature,
     walk_signature,
 )
 
@@ -24,6 +26,13 @@ from hyperzeon.walks import (
 def blade_for(sig, h, vset, eset, coeff=1):
     ids = [v - 1 for v in vset] + [h.n + e - 1 for e in eset]
     return Element.blade(sig, ids, coeff)
+
+
+def rebuild(sig, h, records):
+    """The sum of one blade per walk record, weighted by its count."""
+    return sum(
+        (blade_for(sig, h, r.vertex_set, r.edge_set, r.count) for r in records), sig.zero()
+    )
 
 
 class TestOmega:
@@ -116,17 +125,26 @@ class TestPaths:
             assert k_paths(sample7, i, j, 9) == []
 
     def test_contraction_matches_full_power(self, sample7):
-        sig = walk_signature(sample7)
-        for k in (1, 2, 3):
-            power = build_omega(sample7).power(k)
-            for i, j in [(3, 4), (1, 6), (2, 5)]:
-                full = Element.blade(sig, [i - 1]) * power[i - 1][j - 1]
-                rebuilt = sig.zero()
-                for rec in k_paths(sample7, i, j, k):
-                    rebuilt = rebuilt + blade_for(
-                        sig, sample7, rec.vertex_set, rec.edge_set, rec.count
-                    )
-                assert full == rebuilt
+        # each walk kind, read from its single entry, rebuilds that entry of
+        # the full matrix power; on the path 1-2-3 no path or trail takes a
+        # third step, so at k = 4 and 5 their rows vanish before the column step
+        path3 = Hypergraph(3, [[1, 2], [2, 3]])
+        for h, pairs in ((sample7, [(3, 4), (1, 6), (2, 5)]), (path3, [(1, 3), (2, 1)])):
+            sig, tsig = walk_signature(h), trail_signature(h)
+            omega, trail = build_omega(h), build_trail_matrix(h)
+            for k in range(1, 6):
+                omega_k, trail_k = omega.power(k), trail.power(k)
+                for i, j in pairs:
+                    paths = rebuild(sig, h, k_paths(h, i, j, k))
+                    assert paths == sig.gen(i - 1) * omega_k[i - 1][j - 1]
+                    trails = rebuild(tsig, h, k_trails(h, i, j, k))
+                    assert trails == tsig.gen(i - 1) * trail_k[i - 1][j - 1]
+                    if k >= 2:
+                        assert rebuild(sig, h, k_cycles(h, i, k)) == omega_k[i - 1][i - 1]
+        # the early stop is reached: from vertex 1 of path3 the row of
+        # Omega^3 is already zero, so k = 5 skips its last full step
+        start = walk_signature(path3).gen(0)
+        assert not any(start * x for x in build_omega(path3).power(3)[0])
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(11)
