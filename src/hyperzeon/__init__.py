@@ -26,10 +26,7 @@ _EXPORTS = {
         "incidence_representation", "j_intersecting_matchings", "k_matchings",
         "perfect_matching_count", "spanning_matching_count",
     ),
-    "transversals": (
-        "TransversalRepresentation", "minimum_transversals", "transversal_number",
-        "transversal_representation",
-    ),
+    "transversals": ("minimum_transversals", "transversal_number", "transversal_representation"),
     "walks": (
         "AlgebraMatrix", "WalkRecord", "build_bipartite", "build_blocks", "build_omega",
         "k_cycles", "k_paths", "k_trails",

@@ -15,11 +15,11 @@ terms keeps canonical tuple monomials.
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .errors import ContextError
 
@@ -231,16 +231,6 @@ class Signature:
             out |= self._values[g] << self._shifts[g]
         return out
 
-    def _lookup_key(self, monomial) -> int | None:
-        """Packed key of a canonical tuple monomial; None for anything else."""
-        try:
-            key = self.encode(monomial)
-        except (TypeError, ValueError):
-            return None
-        if key is None or self.decode(key) != monomial:
-            return None
-        return key
-
     def render_monomial(self, monomial: Monomial) -> str:
         """Deterministic text for one monomial, multi-index style (e.g. ζ{1,2}ε3)."""
         if not monomial:
@@ -351,46 +341,6 @@ def subset_level(signature: Signature, factors, k: int) -> dict:
     return {}
 
 
-class _Terms(Mapping):
-    """Read-only view of packed terms keyed by canonical tuple monomials."""
-
-    __slots__ = ("_sig", "_terms")
-
-    def __init__(self, signature: Signature, terms: dict):
-        self._sig = signature
-        self._terms = terms
-
-    def __getitem__(self, monomial):
-        key = self._sig._lookup_key(monomial)
-        if key is None or key not in self._terms:
-            raise KeyError(monomial)
-        return self._terms[key]
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return map(self._sig.decode, self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def items(self):
-        return _TermItems(self)
-
-    def values(self):
-        return self._terms.values()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class _TermItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self):
-        decode = self._mapping._sig.decode
-        for key, coeff in self._mapping._terms.items():
-            yield decode(key), coeff
-
-
 class Element:
     """An immutable sparse sum of monomials with exact coefficients.
 
@@ -441,8 +391,9 @@ class Element:
 
     @property
     def terms(self) -> Mapping[Monomial, Coeff]:
-        """Terms keyed by canonical tuple monomials, decoded on iteration."""
-        return _Terms(self.signature, self._terms)
+        """Terms keyed by canonical tuple monomials: a read-only decoded copy."""
+        decode = self.signature.decode
+        return MappingProxyType({decode(m): c for m, c in self._terms.items()})
 
     @property
     def packed(self) -> Mapping[int, Coeff]:

@@ -2,8 +2,9 @@
 
 One JSON report goes to standard output; all diagnostics go to standard error.
 Exit codes: 0 success, 1 usage error, 2 input or contract error (or a failed
-internal invariant, reported as "internal error:"), 3 budget exceeded.  Input
-comes from --file or standard input, text or JSON format auto-detected.
+internal invariant, reported as "internal error:", or a standard output closed
+before the report was written, reported as "output error:"), 3 budget exceeded.
+Input comes from --file or standard input, text or JSON format auto-detected.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import sys
 
 from . import hypergraph as hg
@@ -313,7 +315,16 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
-    _write_report(report)
+    try:
+        _write_report(report)
+    except BrokenPipeError:
+        # the reader has gone; what is still buffered goes to the null device,
+        # so the interpreter's final flush cannot fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("output error: standard output closed early", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -327,6 +338,7 @@ def _write_report(report):
     try:
         json.dump(report, out, indent=2)
         print(file=out)
+        out.flush()  # a closed reader shows here, not at interpreter exit
     finally:
         if buffered:
             out.reconfigure(write_through=True)  # flushes the report

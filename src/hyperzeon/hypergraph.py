@@ -208,6 +208,8 @@ def parse_json(text: str) -> Hypergraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     if "n" not in obj or "edges" not in obj:

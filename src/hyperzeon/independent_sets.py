@@ -9,11 +9,15 @@ overuses an edge: with index-2 edge labels on a graph this enforces pairwise
 non-adjacency, with index-|e| labels it forbids containing a whole hyperedge
 (weak independence), and with index k+1 labels it caps every edge's
 intersection at k.  The surviving idempotent index sets are exactly the
-independent k-sets.
+independent k-sets.  The transversal element σ is the same :func:`phi` with
+idempotent edge labels (:mod:`~hyperzeon.transversals`), read by the same
+:meth:`PhiRepresentation.index_sets`.
 
 Generator id layout in every representation: edge labels occupy ids 0..m-1 in
 edge order (for graphs, appended loop edges follow the original edges), vertex
-labels occupy ids m..m+n-1.
+labels occupy ids m..m+n-1.  Graph mode gives each isolated vertex a loop, as
+the paper does; a representation keeps no record of which vertices were
+isolated, and the CLI reports them from the hypergraph itself.
 """
 
 from __future__ import annotations
@@ -31,24 +35,23 @@ class PhiRepresentation:
 
     element: Element
     edge_count: int
-    n: int
-    loops_added: tuple[int, ...] = ()
 
     def x_set(self, monomial) -> frozenset:
         """1-based vertex ids carried by a monomial's idempotent part."""
         return frozenset(g - self.edge_count + 1 for g, _ in monomial if g >= self.edge_count)
 
-    def level_sets(self, k: int) -> list[frozenset]:
-        """The index sets of the k-subset products of this representation's factors, sorted."""
+    def index_sets(self, level: dict, k: int) -> list[frozenset]:
+        """The sorted vertex index sets of a level's terms (packed key -> coefficient).
+
+        Each term must carry exactly k vertex labels with coefficient 1, and no set may repeat.
+        """
         sig = self.element.signature
         support = sig.support
         vertices = sig.mask(range(self.edge_count, len(sig)))
         shift = 1 - self.edge_count  # vertex label id -> 1-based vertex id
-        level = subset_level(sig, self.element.packed, k)
         out = []
         for key, coeff in level.items():
             xs = [g + shift for g in support(key & vertices)]
-            # k distinct idempotent labels, and each subset formed exactly once
             if len(xs) != k or coeff != 1:
                 raise InvariantError(f"index set {xs} with coefficient {coeff} at level {k}")
             out.append(xs)
@@ -57,8 +60,13 @@ class PhiRepresentation:
             raise InvariantError(f"an index set appeared twice at level {k}")
         return [frozenset(xs) for xs in out]
 
+    def level_sets(self, k: int) -> list[frozenset]:
+        """The index sets of the k-subset products of this representation's factors, sorted."""
+        return self.index_sets(subset_level(self.element.signature, self.element.packed, k), k)
 
-def _phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
+
+def phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
+    """The sum over vertices not in ``skip`` of (incident edge labels) x (the vertex's label)."""
     m = h.m
     terms = {}
     for v in range(1, h.n + 1):
@@ -79,17 +87,17 @@ def _check_graph(g: Hypergraph):
             raise ValueError(f"not a graph: edge {sorted(e)} has more than two vertices")
 
 
-def _with_isolated_loops(g: Hypergraph) -> tuple[Hypergraph, tuple[int, ...]]:
+def _with_isolated_loops(g: Hypergraph) -> Hypergraph:
     loops = g.isolated_vertices()
-    return Hypergraph(g.n, [sorted(e) for e in g.edges] + [[v] for v in loops]), loops
+    return Hypergraph(g.n, [sorted(e) for e in g.edges] + [[v] for v in loops])
 
 
 def independent_set_representation(g: Hypergraph) -> PhiRepresentation:
     """The index-2 labeled sum for an ordinary graph, after adding loops to isolated vertices."""
     _check_graph(g)
-    g2, loops = _with_isolated_loops(g)
+    g2 = _with_isolated_loops(g)
     sig = Signature.zeons(g2.m) + Signature.idempotents(g2.n, "x")
-    return PhiRepresentation(_phi(g2, sig), g2.m, g2.n, loops)
+    return PhiRepresentation(phi(g2, sig), g2.m)
 
 
 def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
@@ -132,7 +140,7 @@ def weak_representation(h: Hypergraph) -> PhiRepresentation:
     indices = [max(len(e), 2) for e in h.edges]
     sig = Signature.generalized_zeons(indices, "ν") + Signature.idempotents(h.n, "ε")
     skip = {v for e in h.edges if len(e) == 1 for v in e}
-    return PhiRepresentation(_phi(h, sig, skip), h.m, h.n)
+    return PhiRepresentation(phi(h, sig, skip), h.m)
 
 
 def weak_independent_sets(h: Hypergraph, k: int) -> dict[int, list[frozenset]]:
@@ -155,7 +163,7 @@ def k_independent_representation(h: Hypergraph, k: int) -> PhiRepresentation:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_no_isolated(h)
     sig = Signature.generalized_zeons([k + 1] * h.m, "ν") + Signature.idempotents(h.n, "ε")
-    return PhiRepresentation(_phi(h, sig), h.m, h.n)
+    return PhiRepresentation(phi(h, sig), h.m)
 
 
 def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[frozenset]:

@@ -58,6 +58,8 @@ def perfect_matching_count(h: Hypergraph) -> int:
     the general case.
     """
     _check_distinct_edges(h)
+    if h.n == 0:
+        return 1  # the empty family covers no vertex
     r = h.uniform_rank()
     if r is None:
         warnings.warn("hypergraph is not uniform; reporting 0 perfect matchings")
@@ -66,8 +68,6 @@ def perfect_matching_count(h: Hypergraph) -> int:
         warnings.warn(f"vertex count {h.n} is not a multiple of edge size {r}; reporting 0")
         return 0
     k = h.n // r
-    if k == 0:
-        return 1 if h.n == 0 else 0
     gamma = incidence_representation(h)
     sig = gamma.signature
     full = sig.encode((g, 1) for g in range(h.n))

@@ -1,14 +1,15 @@
 """Minimum-cardinality transversal enumeration over an all-idempotent context.
 
-Each non-isolated vertex contributes the product of its incident edge labels
-times its own label, everything idempotent.  The paper raises the sum σ of
-these factors to successive powers until the expansion contains the full edge
+The transversal element σ is φ (:func:`~hyperzeon.independent_sets.phi`) with
+idempotent edge labels: each non-isolated vertex contributes the product of its
+incident edge labels times its own label, everything idempotent.  The paper
+raises σ to successive powers until the expansion contains the full edge
 blade.  Here the products of all j-subsets of the factors are formed for
 j = 1, 2, ... (:func:`~hyperzeon.algebra.subset_products`): the first level
 that carries the full edge blade is the first such power of σ, its j is the
 transversal number, and the vertex index sets attached to that blade are
 exactly the minimum transversals.  Isolated vertices can never help cover an
-edge, so they are dropped up front and reported.
+edge, so they get no factor; the CLI reports them from the hypergraph itself.
 
 Generator ids: edge labels 0..m-1 ("ε", 1-based subscripts), vertex labels
 m..m+n-1 ("x").
@@ -16,35 +17,18 @@ m..m+n-1 ("x").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import Element, Signature, subset_products
+from .algebra import Signature, subset_products
 from .errors import InvariantError
 from .hypergraph import Hypergraph
-
-
-@dataclass(frozen=True)
-class TransversalRepresentation:
-    element: Element
-    edge_count: int
-    n: int
-    removed_isolated: tuple[int, ...]
+from .independent_sets import PhiRepresentation, phi
 
 
 def transversal_signature(h: Hypergraph) -> Signature:
     return Signature.idempotents(h.m, "ε") + Signature.idempotents(h.n, "x")
 
 
-def transversal_representation(h: Hypergraph) -> TransversalRepresentation:
-    sig = transversal_signature(h)
-    isolated = h.isolated_vertices()
-    terms = {}
-    for v in range(1, h.n + 1):
-        if v in isolated:
-            continue
-        monomial = tuple((idx, 1) for idx in h.incident_edges(v)) + ((h.m + v - 1, 1),)
-        terms[monomial] = 1
-    return TransversalRepresentation(Element(sig, terms), h.m, h.n, isolated)
+def transversal_representation(h: Hypergraph) -> PhiRepresentation:
+    return PhiRepresentation(phi(h, transversal_signature(h), skip=h.isolated_vertices()), h.m)
 
 
 def minimum_transversals(h: Hypergraph) -> tuple[int, list[frozenset]]:
@@ -59,19 +43,12 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[frozenset]]:
         raise ValueError("transversal search needs at least one edge")
     rep = transversal_representation(h)
     sig = rep.element.signature
-    support = sig.support
     full_edges = sig.mask(range(h.m))
     for j, level in subset_products(sig, rep.element.packed):
-        hits = []
-        for key in level:
-            if key & full_edges == full_edges:
-                vs = [g - h.m + 1 for g in support(key & ~full_edges)]
-                if len(vs) != j:
-                    raise InvariantError(f"full-blade vertex set {vs} at level {j}")
-                hits.append(vs)
+        full = {key: c for key, c in level.items() if key & full_edges == full_edges}
+        hits = rep.index_sets(full, j)
         if hits:
-            hits.sort()
-            return j, [frozenset(vs) for vs in hits]
+            return j, hits
     raise InvariantError("no transversal found, yet every edge is non-empty")
 
 

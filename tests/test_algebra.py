@@ -346,6 +346,8 @@ class TestPackedKernel:
         for mono, coeff in u.terms.items():
             assert u.terms[mono] == coeff
             assert mono in u.terms
+        with pytest.raises(TypeError):
+            u.terms[()] = 1
 
     def test_field_boundaries(self):
         for index in BOUNDARY_INDICES:

@@ -91,6 +91,12 @@ class TestStructureCommands:
         assert code == 0
         assert report == {"kind": "matchings", "perfect": 3}
 
+    def test_matchings_perfect_on_empty(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+        code, report, _ = run(capsys, ["matchings", "--perfect"])
+        assert code == 0
+        assert report == {"kind": "matchings", "perfect": 1}
+
     def test_weak_independent_sets(self, capsys):
         code, report, _ = run(
             capsys, ["independent-sets", "--file", SAMPLE7_PATH, "--mode", "weak", "--size", "5"]
@@ -169,6 +175,14 @@ class TestInput:
         assert code == 2
         assert "input error" in err
 
+    def test_json_nested_too_deeply(self, capsys, monkeypatch):
+        depth = 200_000
+        payload = '{"n": 1, "edges": ' + "[" * depth + "]" * depth + "}"
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, report, err = run(capsys, ["transversals"])
+        assert (code, report) == (2, None)
+        assert err.startswith("input error:")
+
     @pytest.mark.parametrize("vertex", [[2], "2", 2.0, True, None, {"v": 2}])
     def test_json_non_integer_vertex(self, capsys, monkeypatch, vertex):
         payload = json.dumps({"n": 3, "edges": [[1, vertex]]})
@@ -235,6 +249,25 @@ class TestOutput:
         assert raw.getvalue().decode() == text.getvalue()
         # one write per chunk of the report, not one per JSON token
         assert raw.writes <= 2
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_reader_gone_before_the_report(self, unbuffered):
+        # the pipe's read end is closed before the child starts, so its first write fails
+        src = str(Path(hyperzeon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "hyperzeon.cli", *self.ARGV],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == 2
+        assert done.stderr.startswith("output error:")
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr
 
 
 class TestOracleMirror:

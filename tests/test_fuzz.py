@@ -48,6 +48,13 @@ def json_hypergraphs(draw):
 
 
 @st.composite
+def nested_json(draw):
+    """An edge list nested to any depth, past the JSON decoder's recursion limit too."""
+    depth = draw(st.one_of(st.integers(0, 1200), st.sampled_from([10**4, 2 * 10**5])))
+    return '{"n": 1, "edges": ' + "[" * depth + "]" * depth + "}"
+
+
+@st.composite
 def valid_hypergraphs(draw):
     """Well-formed small inputs, so that most runs reach an enumerator."""
     n = draw(st.integers(1, 7))
@@ -55,7 +62,7 @@ def valid_hypergraphs(draw):
     return f"{n} {len(edges)}\n" + "".join(" ".join(map(str, sorted(e))) + "\n" for e in edges)
 
 
-TEXTS = st.one_of(st.text(max_size=80), text_hypergraphs(), json_hypergraphs())
+TEXTS = st.one_of(st.text(max_size=80), text_hypergraphs(), json_hypergraphs(), nested_json())
 STDIN = st.one_of(
     valid_hypergraphs().map(str.encode),
     valid_hypergraphs().map(str.encode),

@@ -236,6 +236,11 @@ class TestJsonFormat:
         with pytest.raises(ParseError):
             parse_json('{"n": 2, "edges": [[1, 1]]}')
 
+    def test_deep_nesting_is_a_parse_error(self):
+        depth = 200_000
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_json('{"n": 1, "edges": ' + "[" * depth + "]" * depth + "}")
+
     @given(hypergraphs())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_random(self, h):

@@ -241,17 +241,19 @@ class TestPairwiseAdjacentSets:
 
 class TestRepresentationStructure:
     def test_vertex_terms(self):
-        rep = independent_set_representation(PATH3)
-        # one term per vertex: incident edge labels times the vertex label
-        assert len(rep.element.terms) == 3
-        assert rep.loops_added == ()
+        # one term per vertex: incident edge labels times the vertex label; the
+        # isolated vertex 4 alone gets a loop label, whose id follows the edges'
+        graph = Hypergraph(4, PATH3.edges)
+        rep = independent_set_representation(graph)
+        assert rep.edge_count == graph.m + 1
+        assert len(rep.element.terms) == 4
         for mono, coeff in rep.element.terms.items():
             assert coeff == 1
             verts = rep.x_set(mono)
             assert len(verts) == 1
             v = next(iter(verts))
             edges = {g for g, _ in mono if g < rep.edge_count}
-            assert edges == set(PATH3.incident_edges(v))
+            assert edges == (set(graph.incident_edges(v)) or {graph.m})
 
     def test_weak_representation_indices(self, sample7):
         rep = weak_representation(sample7)

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from hyperzeon import independent_sets
+from hyperzeon import independent_sets, transversals
 from hyperzeon.cli import main
 from hyperzeon.errors import InvariantError
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import graph_independent_sets
+from hyperzeon.transversals import minimum_transversals
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperzeon"
 
@@ -41,6 +42,25 @@ def test_bad_level_coefficient_raises_and_exits_two(monkeypatch, capsys):
         graph_independent_sets(h, 2)
     monkeypatch.setattr("sys.stdin", io.StringIO("4 2\n1 2\n3 4\n"))
     assert main(["independent-sets", "--mode", "graph", "--size", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:")
+
+
+def test_bad_transversal_level_coefficient_raises_and_exits_two(monkeypatch, capsys):
+    h = Hypergraph(3, [{1, 2}, {2, 3}])
+    assert minimum_transversals(h) == (1, [frozenset({2})])
+    real = transversals.subset_products
+
+    def doubled(signature, factors, depth=None):
+        for j, level in real(signature, factors, depth):
+            yield j, {key: 2 * c for key, c in level.items()}
+
+    monkeypatch.setattr(transversals, "subset_products", doubled)
+    with pytest.raises(InvariantError, match="coefficient 2 at level 1"):
+        minimum_transversals(h)
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2\n2 3\n"))
+    assert main(["transversals"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:")

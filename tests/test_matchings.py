@@ -151,6 +151,11 @@ class TestPerfectMatchings:
         assert spanning_matching_count(Hypergraph(0, [])) == 1
         assert spanning_matching_count(Hypergraph(2, [])) == 0
 
+    def test_perfect_on_empty(self):
+        # the empty family is the one perfect matching of the empty hypergraph
+        empty = Hypergraph(0, [])
+        assert perfect_matching_count(empty) == brute_perfect_matchings(empty) == 1
+
 
 class TestNilpotencyBound:
     def test_matching_number_from_index(self):

@@ -37,7 +37,8 @@ class TestRepresentation:
             + blade(sig, sample7, [2], 7)
         )
         assert rep.element == want
-        assert rep.removed_isolated == ()
+        # level 1 of sigma, read back by the shared reader: one factor per vertex
+        assert rep.index_sets(rep.element.packed, 1) == [frozenset({v}) for v in range(1, 8)]
 
     def test_single_edge(self):
         h = Hypergraph(2, [{1, 2}])
@@ -52,8 +53,9 @@ class TestRepresentation:
     def test_isolated_vertices_removed(self):
         h = Hypergraph(4, [{1, 3}])
         rep = transversal_representation(h)
-        assert rep.removed_isolated == (2, 4)
         assert len(rep.element.terms) == 2
+        # no term carries the label of the isolated vertices 2 and 4
+        assert set().union(*map(rep.x_set, rep.element.terms)) == {1, 3}
 
     def test_exponents_never_exceed_one(self, sample7):
         # sigma^2 = sigma structurally: idempotent collapse everywhere
