@@ -1,10 +1,10 @@
 """Exact sparse arithmetic in commutative algebras whose generators are nilpotent or idempotent.
 
-An algebra is described by a :class:`Signature`: one rewrite rule per generator,
-either nilpotent of some index k (the generator's k-th power is zero) or
-idempotent (the generator squares to itself).  Mixed signatures cover tensor
-products such as "n zeon generators times m idempotent generators" with a single
-flat id space.  Elements are immutable sparse sums of monomials with exact
+An algebra is described by a :class:`Signature`: one cap per generator, either
+an int k >= 2, the generator being nilpotent of index k (its k-th power is
+zero), or None, the generator being idempotent (it squares to itself).  Mixed
+signatures cover tensor products such as "n zeon generators times m idempotent
+generators" with a single flat id space.  Elements are immutable sparse sums of monomials with exact
 integer or rational coefficients; all operations are pure functions.
 
 Internally every monomial is one packed ``int`` (see :class:`Signature`), and
@@ -16,7 +16,6 @@ terms keeps canonical tuple monomials.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Union
@@ -32,37 +31,15 @@ Monomial = tuple
 UNIT: Monomial = ()
 
 
-@dataclass(frozen=True)
-class GeneratorRule:
-    """Rewrite rule for one generator: nilpotent of a given index, or idempotent."""
-
-    nilpotent_index: int | None  # None marks an idempotent generator
-
-    def __post_init__(self):
-        if self.nilpotent_index is not None and self.nilpotent_index < 2:
-            raise ValueError(f"nilpotent index must be >= 2, got {self.nilpotent_index}")
-
-    @classmethod
-    def nilpotent(cls, index: int = 2) -> "GeneratorRule":
-        return cls(index)
-
-    @classmethod
-    def idempotent(cls) -> "GeneratorRule":
-        return cls(None)
-
-    @property
-    def is_idempotent(self) -> bool:
-        return self.nilpotent_index is None
-
-
 class Signature:
-    """Ordered generator rules defining one algebra context.
+    """Ordered generator caps defining one algebra context.
 
-    Generator ids are dense (0..G-1) and stable.  Tensor products are formed by
-    concatenation (``sig_a + sig_b``); the combined id space is partitioned
-    between the factors.  Two signatures are equal when their rules agree;
-    display names are cosmetic and kept per generator as (symbol, subscript)
-    for deterministic rendering.
+    ``caps`` holds one entry per generator: its nilpotency index, an int >= 2,
+    or None for an idempotent generator.  Generator ids are dense (0..G-1) and
+    stable.  Tensor products are formed by concatenation (``sig_a + sig_b``);
+    the combined id space is partitioned between the factors.  Two signatures
+    are equal when their caps agree; display names are cosmetic and kept per
+    generator as (symbol, subscript) for deterministic rendering.
 
     Packed monomials: generator g owns a bit field starting at ``_shifts[g]``,
     fields laid out in id order from the low bits.  An idempotent field is one
@@ -74,28 +51,26 @@ class Signature:
     """
 
     __slots__ = (
-        "rules", "names", "_caps", "_shifts", "_values", "_clear", "_bit_gid", "_idem", "_bias",
+        "caps", "names", "_shifts", "_values", "_clear", "_bit_gid", "_idem", "_bias",
         "_guard",
     )
 
-    def __init__(self, rules: Iterable[GeneratorRule], names=None):
-        self.rules = tuple(rules)
-        for r in self.rules:
-            if not isinstance(r, GeneratorRule):
-                raise TypeError(f"expected GeneratorRule, got {r!r}")
+    def __init__(self, caps: Iterable[int | None], names=None):
+        self.caps = tuple(caps)
+        for cap in self.caps:
+            if cap is not None and (type(cap) is not int or cap < 2):
+                raise ValueError(f"a cap must be None or an int >= 2, got {cap!r}")
         if names is None:
-            names = tuple(self._default_name(r, i) for i, r in enumerate(self.rules))
+            names = tuple(self._default_name(cap, i) for i, cap in enumerate(self.caps))
         else:
             names = tuple((str(s), int(k)) for s, k in names)
-            if len(names) != len(self.rules):
+            if len(names) != len(self.caps):
                 raise ValueError("one display name required per generator")
         self.names = names
-        # 0 encodes "idempotent"
-        self._caps = tuple(0 if r.is_idempotent else r.nilpotent_index for r in self.rules)
         shifts, values, clear, bit_gid = [], [], [], []
         idem = bias = guard = 0
         shift = 0
-        for gid, cap in enumerate(self._caps):
+        for gid, cap in enumerate(self.caps):
             shifts.append(shift)
             if cap:
                 v = max(1, (cap - 1).bit_length())
@@ -118,43 +93,43 @@ class Signature:
         self._guard = guard
 
     @staticmethod
-    def _default_name(rule: GeneratorRule, i: int):
-        if rule.is_idempotent:
+    def _default_name(cap: int | None, i: int):
+        if cap is None:
             return ("ε", i + 1)
-        return ("ζ", i + 1) if rule.nilpotent_index == 2 else ("ν", i + 1)
+        return ("ζ", i + 1) if cap == 2 else ("ν", i + 1)
 
     @classmethod
     def zeons(cls, n: int, symbol: str = "ζ") -> "Signature":
         """n generators that square to zero."""
-        return cls([GeneratorRule.nilpotent(2)] * n, [(symbol, i + 1) for i in range(n)])
+        return cls([2] * n, [(symbol, i + 1) for i in range(n)])
 
     @classmethod
     def generalized_zeons(cls, indices: Iterable[int], symbol: str = "ν") -> "Signature":
         """One nilpotent generator per entry, of that nilpotency index."""
-        rules = [GeneratorRule.nilpotent(k) for k in indices]
-        return cls(rules, [(symbol, i + 1) for i in range(len(rules))])
+        caps = list(indices)
+        return cls(caps, [(symbol, i + 1) for i in range(len(caps))])
 
     @classmethod
     def idempotents(cls, n: int, symbol: str = "ε") -> "Signature":
         """n generators that square to themselves."""
-        return cls([GeneratorRule.idempotent()] * n, [(symbol, i + 1) for i in range(n)])
+        return cls([None] * n, [(symbol, i + 1) for i in range(n)])
 
     def __add__(self, other: "Signature") -> "Signature":
         if not isinstance(other, Signature):
             return NotImplemented
-        return Signature(self.rules + other.rules, self.names + other.names)
+        return Signature(self.caps + other.caps, self.names + other.names)
 
     def __len__(self) -> int:
-        return len(self.rules)
+        return len(self.caps)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Signature) and self.rules == other.rules
+        return isinstance(other, Signature) and self.caps == other.caps
 
     def __hash__(self) -> int:
-        return hash(self.rules)
+        return hash(self.caps)
 
     def __repr__(self) -> str:
-        kinds = ",".join("I" if r.is_idempotent else str(r.nilpotent_index) for r in self.rules)
+        kinds = ",".join("I" if cap is None else str(cap) for cap in self.caps)
         return f"Signature[{kinds}]"
 
     def gen(self, gid: int) -> "Element":
@@ -174,7 +149,7 @@ class Signature:
 
         Repeated generators accumulate and idempotent exponents collapse to 1.
         """
-        caps, shifts, values = self._caps, self._shifts, self._values
+        caps, shifts, values = self.caps, self._shifts, self._values
         key = 0
         for gid, exp in monomial:
             if not 0 <= gid < len(caps):
@@ -568,7 +543,7 @@ def annihilates(blade_gids: Iterable[int], u: Element) -> bool:
     for g in gids:
         if not 0 <= g < len(sig):
             raise ValueError(f"generator id {g} out of range")
-        if sig._caps[g] != 2:
+        if sig.caps[g] != 2:
             raise ValueError("annihilator blades must use index-2 nilpotent generators")
     if len(set(gids)) != len(gids):
         raise ValueError("annihilator blades must be square-free")

@@ -4,7 +4,8 @@ One JSON report goes to standard output; all diagnostics go to standard error.
 Exit codes: 0 success, 1 usage error, 2 input or contract error (or a failed
 internal invariant, reported as "internal error:", or a standard output closed
 before the report was written, reported as "output error:"), 3 budget exceeded.
-Input comes from --file or standard input, text or JSON format auto-detected.
+Input comes from --file or standard input, text or JSON format auto-detected;
+input longer than hypergraph.MAX_INPUT_CHARS characters exits 3.
 """
 
 from __future__ import annotations
@@ -30,11 +31,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(args) -> hg.Hypergraph:
+    limit = hg.MAX_INPUT_CHARS
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read(limit + 1)
     else:
-        text = sys.stdin.read()
+        text = sys.stdin.read(limit + 1)
+    if len(text) > limit:
+        raise BudgetError(f"input is longer than the limit of {limit} characters")
     return hg.parse(text)
 
 

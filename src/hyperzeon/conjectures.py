@@ -7,22 +7,22 @@ products of the incidence element's edge blades (the paper's nilpotency index
 of that element, minus one), and the transversal number is the first level of
 the subset products of the transversal factors that carries the full edge
 blade (equivalently, the first such power of σ, or the minimal grade of the
-sum of annihilating blades, computed on request).  The second says a
-union-closed family has an element in at least half its sets;
-per vertex, multiplying the incidence element by that vertex's generator and
-taking the scalar sum counts the edges missing it, so the claim becomes the
-existence of a vertex whose product's scalar sum is at most half the family
-size.  Random instance generators plus an append-only violation log make the
-checks repeatable; the expected violation count is zero.  A failed internal
-identity (kernel/degree agreement) raises InvariantError.
+sum of annihilating blades, :func:`gamma_element`).  The second says a
+union-closed family has an element in at least half its sets; per vertex,
+multiplying the incidence element by that vertex's generator and taking the
+scalar sum counts the edges missing it, so the claim becomes the existence of
+a vertex whose product's scalar sum is at most half the family size.  Random
+instance generators plus an append-only violation log make the checks
+repeatable; the expected violation count is zero.  A failed internal identity
+(kernel/degree agreement) raises InvariantError.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import Element, annihilates, subset_products
 from .errors import BudgetError, InvariantError
@@ -53,33 +53,27 @@ def gamma_element(h: Hypergraph) -> Element:
     return Element(sig, terms)
 
 
-@dataclass(frozen=True)
-class RyserReport:
+class RyserReport(NamedTuple):
     r: int
     matching_number: int
     transversal_number: int
     bound_ok: bool
-    gamma_min_grade: int | None = None
 
 
-@dataclass(frozen=True)
-class FranklReport:
-    condition_f: bool
+class FranklReport(NamedTuple):
     m: int
     best_vertex: int
     best_count: int
     holds: bool
 
 
-def check_ryser(h: Hypergraph, r: int, partition, gamma_limit: int = 0) -> RyserReport:
+def check_ryser(h: Hypergraph, r: int, partition) -> RyserReport:
     """Test transversal number <= (r-1) * matching number on an r-uniform r-partite input.
 
     The matching number is the deepest non-empty level of the subset products
-    of the incidence element's edge blades; when gamma_limit >= n the
-    annihilator sum is also computed and its minimal grade reported (it must
-    equal the transversal number).  The transversal number is the first level
-    of the transversal factors' subset products that carries the full edge
-    blade.
+    of the incidence element's edge blades.  The transversal number is the
+    first level of the transversal factors' subset products that carries the
+    full edge blade (it equals the minimal grade of :func:`gamma_element`).
     """
     if not h.is_r_uniform(r):
         raise ValueError(f"hypergraph is not {r}-uniform")
@@ -88,8 +82,7 @@ def check_ryser(h: Hypergraph, r: int, partition, gamma_limit: int = 0) -> Ryser
     gamma = incidence_representation(h)
     matching = max((j for j, _ in subset_products(gamma.signature, gamma.packed)), default=0)
     tau = transversal_number(h)
-    grade = gamma_element(h).min_grade() if 0 < h.n <= gamma_limit else None
-    return RyserReport(r, matching, tau, tau <= (r - 1) * matching, grade)
+    return RyserReport(r, matching, tau, tau <= (r - 1) * matching)
 
 
 def check_frankl(h: Hypergraph) -> FranklReport:
@@ -113,7 +106,7 @@ def check_frankl(h: Hypergraph) -> FranklReport:
         if best_missing is None or missing < best_missing:
             best_vertex, best_missing = v, missing
     best_count = h.m - best_missing
-    return FranklReport(True, h.m, best_vertex, best_count, 2 * best_count >= h.m)
+    return FranklReport(h.m, best_vertex, best_count, 2 * best_count >= h.m)
 
 
 # -- instance generators --------------------------------------------------------
@@ -212,7 +205,7 @@ def run_ryser_trials(trials: int, seed, max_n: int = 12, log_path: str | None = 
                         "part_size": part_size,
                         "seed": inst_seed,
                         "hypergraph": to_json_dict(h),
-                        "report": asdict(report),
+                        "report": report._asdict(),
                     },
                 )
     return {"kind": "ryser", "trials": trials, "violations": violations}
@@ -239,7 +232,7 @@ def run_frankl_trials(trials: int, seed, max_ground: int = 8, log_path: str | No
                         "seed_count": seed_count,
                         "seed": inst_seed,
                         "hypergraph": to_json_dict(h),
-                        "report": asdict(report),
+                        "report": report._asdict(),
                     },
                 )
     return {"kind": "frankl", "trials": trials, "violations": violations}

@@ -11,7 +11,9 @@ Edges are unordered, non-empty vertex sets.  Duplicate edges are representable
 vertex inside one edge is rejected as a likely typo.  A vertex count above
 :data:`MAX_SIZE` raises BudgetError in :class:`Hypergraph`, and the parsers
 raise it for an input edge count above the same limit, each before anything
-is allocated for the oversized count.
+is allocated for the oversized count.  The command line reads at most
+:data:`MAX_INPUT_CHARS` characters of input.  A parse error quotes the
+offending input cut to :data:`ECHO_CHARS` characters.
 """
 
 from __future__ import annotations
@@ -29,6 +31,19 @@ from .errors import BudgetError, ParseError
 # vertices or edges, so only n is checked on construction.
 MAX_SIZE = 1000
 
+# Longest input text accepted, in characters.  The largest input within
+# MAX_SIZE, n = m = 1000 with every vertex in every edge, is about 5 MB of text.
+MAX_INPUT_CHARS = 2**26
+
+# Longest quote of the input that an error message carries.
+ECHO_CHARS = 80
+
+
+def _echo(value) -> str:
+    """``repr(value)``, cut to ECHO_CHARS characters ending in ``...`` when longer."""
+    text = repr(value)
+    return text if len(text) <= ECHO_CHARS else text[: ECHO_CHARS - 3] + "..."
+
 
 class Hypergraph:
     """Immutable hypergraph: vertices 1..n, edges as a tuple of frozensets."""
@@ -37,9 +52,9 @@ class Hypergraph:
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
         if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
+            raise ValueError(f"vertex count must be >= 0, got {_echo(n)}")
         if n > MAX_SIZE:
-            raise BudgetError(f"vertex count {n} exceeds the limit of {MAX_SIZE}")
+            raise BudgetError(f"vertex count {_echo(n)} exceeds the limit of {MAX_SIZE}")
         out = []
         for e in edges:
             e = frozenset(e)
@@ -47,7 +62,7 @@ class Hypergraph:
                 raise ValueError("edges must be non-empty")
             for v in e:
                 if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
-                    raise ValueError(f"vertex {v!r} outside 1..{n}")
+                    raise ValueError(f"vertex {_echo(v)} outside 1..{n}")
             out.append(e)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(out))
@@ -174,15 +189,15 @@ def parse_text(text: str) -> Hypergraph:
     no, header = lines[0]
     fields = header.split()
     if len(fields) != 2:
-        raise ParseError(f"header must be 'n m', got {header!r}", line=no)
+        raise ParseError(f"header must be 'n m', got {_echo(header)}", line=no)
     try:
         n, m = int(fields[0]), int(fields[1])
     except ValueError:
-        raise ParseError(f"header must be two integers, got {header!r}", line=no) from None
+        raise ParseError(f"header must be two integers, got {_echo(header)}", line=no) from None
     if n < 0 or m < 0:
         raise ParseError("n and m must be >= 0", line=no)
     if m > MAX_SIZE:
-        raise BudgetError(f"edge count {m} exceeds the limit of {MAX_SIZE}")
+        raise BudgetError(f"edge count {_echo(m)} exceeds the limit of {MAX_SIZE}")
     body = lines[1:]
     if len(body) != m:
         raise ParseError(f"expected {m} edge lines, found {len(body)}")
@@ -193,12 +208,12 @@ def parse_text(text: str) -> Hypergraph:
             try:
                 verts.append(int(tok))
             except ValueError:
-                raise ParseError(f"expected integer vertex id, got {tok!r}", line=no) from None
+                raise ParseError(f"expected integer vertex id, got {_echo(tok)}", line=no) from None
         if len(set(verts)) != len(verts):
             raise ParseError("repeated vertex in edge", line=no)
         for v in verts:
             if not 1 <= v <= n:
-                raise ParseError(f"vertex {v} outside 1..{n}", line=no)
+                raise ParseError(f"vertex {_echo(v)} outside 1..{n}", line=no)
         edges.append(verts)
     return Hypergraph(n, edges)
 
@@ -225,9 +240,9 @@ def parse_json(text: str) -> Hypergraph:
     for e in edges:
         for v in e:
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"vertex ids must be integers, got {v!r} in edge {e}")
+                raise ParseError(f"vertex ids must be integers, got {_echo(v)} in edge {_echo(e)}")
         if len(set(e)) != len(e):
-            raise ParseError(f"repeated vertex in edge {e}")
+            raise ParseError(f"repeated vertex in edge {_echo(e)}")
     try:
         return Hypergraph(n, edges)
     except ValueError as exc:

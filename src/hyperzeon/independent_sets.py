@@ -22,15 +22,14 @@ isolated, and the CLI reports them from the hypergraph itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Element, Signature, subset_level
 from .errors import InvariantError
 from .hypergraph import Hypergraph
 
 
-@dataclass(frozen=True)
-class PhiRepresentation:
+class PhiRepresentation(NamedTuple):
     """A vertices-to-labels sum, with enough layout to read index sets back out."""
 
     element: Element

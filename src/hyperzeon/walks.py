@@ -12,15 +12,14 @@ idempotently and merely shrink the recorded edge set.  Trails swap the roles
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import Element, Signature, mul_into
 from .errors import InvariantError
 from .hypergraph import Hypergraph
 
 
-@dataclass(frozen=True)
-class WalkRecord:
+class WalkRecord(NamedTuple):
     """One surviving basis term: the walk's vertex set, edge set, and multiplicity."""
 
     vertex_set: frozenset

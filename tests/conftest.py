@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperzeon.algebra import Element, GeneratorRule, Signature
+from hyperzeon.algebra import Element, Signature
 from hyperzeon.hypergraph import Hypergraph, parse
 
 DATA = Path(__file__).parent / "data"
@@ -35,16 +35,16 @@ def random_graph(rng, max_n=6, edge_prob=0.4, max_m=10) -> Hypergraph:
 
 
 def random_signature(rng, max_gens=12) -> Signature:
-    rules = []
+    caps = []
     for _ in range(rng.randint(1, max_gens)):
         roll = rng.random()
         if roll < 0.4:
-            rules.append(GeneratorRule.nilpotent(2))
+            caps.append(2)
         elif roll < 0.7:
-            rules.append(GeneratorRule.nilpotent(rng.randint(2, 4)))
+            caps.append(rng.randint(2, 4))
         else:
-            rules.append(GeneratorRule.idempotent())
-    return Signature(rules)
+            caps.append(None)
+    return Signature(caps)
 
 
 def random_element(rng, sig: Signature, max_terms=5, max_coeff=3) -> Element:
@@ -54,7 +54,7 @@ def random_element(rng, sig: Signature, max_terms=5, max_coeff=3) -> Element:
         gids = rng.sample(range(width), rng.randint(0, min(3, width)))
         monomial = []
         for g in gids:
-            cap = sig.rules[g].nilpotent_index
+            cap = sig.caps[g]
             exp = 1 if cap is None else rng.randint(1, cap - 1)
             monomial.append((g, exp))
         coeff = rng.choice([c for c in range(-max_coeff, max_coeff + 1) if c])

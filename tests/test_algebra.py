@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from conftest import random_element, random_signature
 from hyperzeon.algebra import (
     Element,
-    GeneratorRule,
     Signature,
     annihilates,
     monomial_ids,
@@ -23,8 +22,8 @@ from hyperzeon.errors import ContextError
 @st.composite
 def signatures(draw, max_gens=8):
     kinds = st.one_of(
-        st.just(GeneratorRule.idempotent()),
-        st.integers(min_value=2, max_value=4).map(GeneratorRule.nilpotent),
+        st.none(),
+        st.integers(min_value=2, max_value=4),
     )
     return Signature(draw(st.lists(kinds, min_size=1, max_size=max_gens)))
 
@@ -91,7 +90,7 @@ class TestRewriteRules:
 
     def test_invalid_nilpotent_index(self):
         with pytest.raises(ValueError):
-            GeneratorRule.nilpotent(1)
+            Signature([1])
 
 
 class TestRingAxioms:
@@ -229,9 +228,23 @@ class TestSignatures:
     def test_tensor_concatenation(self):
         sig = Signature.zeons(2) + Signature.idempotents(3)
         assert len(sig) == 5
-        assert sig.rules[0] == GeneratorRule.nilpotent(2)
-        assert sig.rules[4] == GeneratorRule.idempotent()
+        assert sig.caps[0] == 2
+        assert sig.caps[4] is None
         assert sig.names[2] == ("ε", 1)
+        assert sig == Signature([2, 2, None, None, None])
+        assert hash(sig) == hash(Signature([2, 2, None, None, None]))
+        assert repr(sig) == "Signature[2,2,I,I,I]"
+
+    @pytest.mark.parametrize("cap, valid", [
+        *((cap, True) for cap in (None, *range(2, 10))),
+        *((cap, False) for cap in (1, 0, -2, True, 2.0, "2")),
+    ])
+    def test_caps(self, cap, valid):
+        if valid:
+            assert Signature([2, cap]).caps == (2, cap)
+        else:
+            with pytest.raises(ValueError):
+                Signature([2, cap])
 
     def test_equality_ignores_names(self):
         assert Signature.zeons(3) == Signature.zeons(3, "a")
@@ -260,8 +273,8 @@ BOUNDARY_INDICES = (2, 3, 4, 5, 8, 9)
 @st.composite
 def boundary_signatures(draw, max_gens=10):
     kinds = st.one_of(
-        st.just(GeneratorRule.idempotent()),
-        st.sampled_from(BOUNDARY_INDICES).map(GeneratorRule.nilpotent),
+        st.none(),
+        st.sampled_from(BOUNDARY_INDICES),
     )
     return Signature(draw(st.lists(kinds, min_size=1, max_size=max_gens)))
 
@@ -274,7 +287,7 @@ def exponent_terms(draw, sig, max_terms=6):
         gids = draw(st.lists(st.integers(0, len(sig) - 1), max_size=4, unique=True))
         exps = {}
         for g in gids:
-            cap = sig.rules[g].nilpotent_index
+            cap = sig.caps[g]
             exps[g] = 1 if cap is None else draw(st.integers(1, cap - 1))
         terms.append((exps, draw(st.integers(-3, 3).filter(bool))))
     return terms
@@ -287,7 +300,7 @@ def reference_product(sig, a_terms, b_terms):
         for eb, cb in b_terms:
             exps = {}
             for g in set(ea) | set(eb):
-                cap = sig.rules[g].nilpotent_index
+                cap = sig.caps[g]
                 e = 1 if cap is None else ea.get(g, 0) + eb.get(g, 0)
                 if cap is not None and e >= cap:
                     break

@@ -15,6 +15,8 @@ import hyperzeon
 from hyperzeon.cli import main
 
 SAMPLE7_PATH = str(DATA / "sample7.hg")
+# the source tree a child interpreter imports hyperzeon from
+SRC = str(Path(hyperzeon.__file__).resolve().parents[1])
 
 
 def run(capsys, argv):
@@ -219,6 +221,46 @@ class TestExitCodes:
         assert "budget exceeded" in err
 
 
+class TestInputLimits:
+    @pytest.mark.parametrize("use_file", [False, True])
+    def test_input_past_the_limit_is_three(self, capsys, monkeypatch, tmp_path, use_file):
+        monkeypatch.setattr("hyperzeon.hypergraph.MAX_INPUT_CHARS", 10)
+        # 10 characters pass; one more is past the limit
+        for text, expected in [("3 1\n1 2 3\n", 0), ("3 1\n1 2 3\n\n", 3)]:
+            path = tmp_path / "in.hg"
+            path.write_text(text, encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            argv = ["transversals", "--file", str(path)] if use_file else ["transversals"]
+            code, _, err = run(capsys, argv)
+            assert code == expected
+            if expected == 3:
+                assert err.startswith("budget exceeded: input is longer than the limit of 10")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+    def test_endless_file_is_three(self):
+        done = subprocess.run(
+            [sys.executable, "-m", "hyperzeon.cli", "transversals", "--file", "/dev/zero"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("budget exceeded:")
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("payload", [
+        "1 1\n" + "x" * 10**6 + "\n",
+        "x" * 10**6 + " 1\n",
+        json.dumps({"n": 1, "edges": [["x" * 10**6]]}),
+        json.dumps({"n": 1, "edges": [[1, 1] + [1] * 10**5]}),
+    ], ids=["text-token", "text-header", "json-value", "json-edge"])
+    def test_long_input_is_cut_in_the_error(self, capsys, monkeypatch, payload):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code, report, err = run(capsys, ["transversals"])
+        assert (code, report) == (2, None)
+        assert err.startswith("input error:")
+        assert all(len(line.encode()) < 300 for line in err.splitlines())
+        assert "..." in err
+
+
 class TestOutput:
     ARGV = ["paths", "--file", SAMPLE7_PATH, "--from", "3", "--to", "4", "--k", "3"]
 
@@ -253,8 +295,7 @@ class TestOutput:
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_reader_gone_before_the_report(self, unbuffered):
         # the pipe's read end is closed before the child starts, so its first write fails
-        src = str(Path(hyperzeon.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED=unbuffered)
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
@@ -334,18 +375,25 @@ class TestHarnessCommands:
         assert (report["trials"], report["violations"]) == (0, 0)
 
 
+def loaded_after(imports: str, watched) -> list[str]:
+    """The ``watched`` modules a fresh interpreter has loaded after ``import <imports>``."""
+    probe = f"import sys, {imports}; print(*[m for m in {tuple(watched)!r} if m in sys.modules])"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    return done.stdout.split()
+
+
 class TestImports:
+    def test_no_module_loads_dataclasses(self):
+        modules = ("cli", "walks", "independent_sets", "matchings", "transversals",
+                   "conjectures", "oracle")
+        imports = ", ".join(f"hyperzeon.{name}" for name in modules)
+        assert loaded_after(imports, ("dataclasses", "inspect", "ast", "dis")) == []
+
     def test_cli_import_loads_no_harness_or_oracle(self):
-        src = str(Path(hyperzeon.__file__).resolve().parents[1])
-        probe = (
-            "import sys, hyperzeon.cli; "
-            "print([m for m in ('hyperzeon.conjectures', 'hyperzeon.oracle') if m in sys.modules])"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=src),
-        )
-        assert done.stdout.strip() == "[]"
+        assert loaded_after("hyperzeon.cli", ("hyperzeon.conjectures", "hyperzeon.oracle")) == []
 
     def test_public_names_resolve(self):
         for name in hyperzeon.__all__:

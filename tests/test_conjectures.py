@@ -76,11 +76,11 @@ class TestCheckRyser:
 
     def test_single_edge_instance(self):
         h = Hypergraph(6, [{1, 3, 5}])
-        report = check_ryser(h, 3, [[1, 2], [3, 4], [5, 6]], gamma_limit=6)
+        report = check_ryser(h, 3, [[1, 2], [3, 4], [5, 6]])
         assert report.matching_number == 1
         assert report.transversal_number == 1
         assert report.bound_ok
-        assert report.gamma_min_grade == 1
+        assert gamma_element(h).min_grade() == report.transversal_number
 
     def test_koenig_equality(self):
         # 2-uniform bipartite: tau equals the matching number exactly
@@ -89,11 +89,10 @@ class TestCheckRyser:
             part_size = rng.randint(1, 4)
             edge_count = rng.randint(1, min(part_size**2, 6))
             h = generate_ryser_instance(2, part_size, edge_count, rng.randrange(2**32))
-            report = check_ryser(h, 2, ryser_partition(2, part_size), gamma_limit=8)
+            report = check_ryser(h, 2, ryser_partition(2, part_size))
             assert report.bound_ok
             assert report.transversal_number == report.matching_number
-            if report.gamma_min_grade is not None:
-                assert report.gamma_min_grade == report.transversal_number
+            assert gamma_element(h).min_grade() == report.transversal_number
 
     def test_transversal_number_matches_oracle(self):
         rng = random.Random(53)
@@ -107,7 +106,6 @@ class TestCheckFrankl:
     def test_two_edge_family(self):
         h = Hypergraph(2, [{1}, {1, 2}])
         report = check_frankl(h)
-        assert report.condition_f
         assert report.m == 2
         assert report.best_vertex == 1
         assert report.best_count == 2

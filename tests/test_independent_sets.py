@@ -259,4 +259,4 @@ class TestRepresentationStructure:
         rep = weak_representation(sample7)
         sig = rep.element.signature
         for idx, edge in enumerate(sample7.edges):
-            assert sig.rules[idx].nilpotent_index == max(len(edge), 2)
+            assert sig.caps[idx] == max(len(edge), 2)
