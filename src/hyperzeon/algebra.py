@@ -15,14 +15,15 @@ terms keeps canonical tuple monomials.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Mapping
-from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import ContextError
 
-Coeff = Union[int, Fraction]
+# fractions (and decimal, which it imports) load only where a caller uses them
+Coeff = "int | Fraction"
 
 # A canonical monomial: ((generator_id, exponent), ...) sorted by generator id.
 # The empty tuple is the unit.  Idempotent generators always carry exponent 1;
@@ -316,6 +317,15 @@ def subset_level(signature: Signature, factors, k: int) -> dict:
     return {}
 
 
+def _is_scalar(x) -> bool:
+    """Whether ``x`` is an int or a Fraction, without importing ``fractions``."""
+    if isinstance(x, int):
+        return True
+    # a Fraction can only exist once its module is loaded
+    fractions = sys.modules.get("fractions")
+    return fractions is not None and isinstance(x, fractions.Fraction)
+
+
 class Element:
     """An immutable sparse sum of monomials with exact coefficients.
 
@@ -385,7 +395,7 @@ class Element:
     def __eq__(self, other) -> bool:
         if isinstance(other, Element):
             return self.signature == other.signature and self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self._terms == Element.scalar(self.signature, other)._terms
         return NotImplemented
 
@@ -398,7 +408,7 @@ class Element:
             if self.signature != other.signature:
                 raise ContextError("elements belong to different signatures")
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return Element.scalar(self.signature, other)
         return None
 
@@ -433,7 +443,7 @@ class Element:
         return rhs + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             if other == 0:
                 return Element(self.signature, {}, _raw=True)
             return Element(

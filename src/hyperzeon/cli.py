@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 from . import hypergraph as hg
 from .errors import BudgetError, InvariantError, ParseError
@@ -42,24 +43,121 @@ def _load(args) -> hg.Hypergraph:
     return hg.parse(text)
 
 
-def _walk_records_json(records) -> list[dict]:
-    return [
-        {"vertices": sorted(r.vertex_set), "edges": sorted(r.edge_set), "count": r.count}
-        for r in records
-    ]
+# -- report writer -----------------------------------------------------------------
+
+# pieces held before one write: a few hundred records
+_CHUNK_PARTS = 2048
 
 
-def _oracle_records_json(counts: dict) -> list[dict]:
-    rows = [
-        {"vertices": sorted(vs), "edges": sorted(es), "count": c}
-        for (vs, es), c in counts.items()
-    ]
-    rows.sort(key=lambda r: (r["vertices"], r["edges"]))
-    return rows
+class Records:
+    """A list of JSON objects that share their keys, held as rows.
+
+    ``fields`` names the keys in order, and each row holds one value per field.
+    """
+
+    __slots__ = ("fields", "rows")
+
+    def __init__(self, fields: tuple, rows):
+        self.fields = fields
+        self.rows = rows
 
 
-def _sets_json(sets) -> list[list[int]]:
-    return [sorted(s) for s in sets]
+def _write_json(value, out) -> None:
+    """Write ``json.dumps(value, indent=2)`` and a newline to ``out``, in chunks.
+
+    ``value`` is built from dicts with str keys, lists, :class:`Records`, str,
+    int, float, bool, None and tuples.  A tuple must hold ints only: it is
+    written as one joined int list, its items unchecked.  Keys and the other
+    scalars go through ``json.dumps``, so escaping is the encoder's own.
+    """
+    parts: list[str] = []
+    _encode(value, "\n", parts, out)
+    parts.append("\n")
+    out.write("".join(parts))
+
+
+def _flush_full(parts: list, out) -> None:
+    if len(parts) > _CHUNK_PARTS:
+        out.write("".join(parts))
+        parts.clear()
+
+
+def _encode(value, nl: str, parts: list, out) -> None:
+    """Append the pieces of ``value``; ``nl`` is a newline and the indent it sits at."""
+    if type(value) is tuple:
+        if value:
+            inner = nl + "  "
+            parts.append("[" + inner + ("," + inner).join(map(str, value)) + nl + "]")
+        else:
+            parts.append("[]")
+    elif isinstance(value, Records):
+        _encode_records(value, nl, parts, out)
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            parts.append(lead + json.dumps(key) + ": ")
+            _encode(item, inner, parts, out)
+            lead = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(value, list):
+        if not value:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        lead = "[" + inner
+        for item in value:
+            parts.append(lead)
+            _encode(item, inner, parts, out)
+            lead = "," + inner
+            _flush_full(parts, out)
+        parts.append(nl + "]")
+    else:
+        parts.append(json.dumps(value))
+
+
+def _encode_records(records: Records, nl: str, parts: list, out) -> None:
+    # every record has the same layout, so its fixed pieces are formatted once
+    if not records.rows:
+        parts.append("[]")
+        return
+    obj = nl + "  "
+    key = obj + "  "
+    heads = ["," + key + json.dumps(name) + ": " for name in records.fields]
+    heads[0] = "{" + heads[0][1:]
+    open_, sep, close = "[" + key + "  ", "," + key + "  ", key + "]"
+    lead, tail = "[" + obj, obj + "}"
+    for row in records.rows:
+        parts.append(lead)
+        for head, v in zip(heads, row):
+            parts.append(head)
+            if type(v) is int:
+                parts.append(str(v))
+            elif type(v) is tuple and v:
+                parts.append(open_ + sep.join(map(str, v)) + close)
+            else:
+                _encode(v, key, parts, out)
+        parts.append(tail)
+        lead = "," + obj
+        _flush_full(parts, out)
+    parts.append(nl + "]")
+
+
+# -- report rows -------------------------------------------------------------------
+
+_WALK_FIELDS = ("vertices", "edges", "count")
+
+
+def _oracle_records(counts: dict) -> Records:
+    rows = sorted((tuple(sorted(vs)), tuple(sorted(es)), c) for (vs, es), c in counts.items())
+    return Records(_WALK_FIELDS, rows)
+
+
+def _sets_json(sets) -> list[tuple]:
+    return [tuple(sorted(s)) for s in sets]
 
 
 # -- subcommand handlers -----------------------------------------------------------
@@ -71,7 +169,7 @@ def _cmd_paths(args):
     h = _load(args)
     records = k_paths(h, args.src, args.dst, args.k)
     return {"kind": "paths", "from": args.src, "to": args.dst, "k": args.k,
-            "records": _walk_records_json(records)}
+            "records": Records(_WALK_FIELDS, records)}
 
 
 def _cmd_cycles(args):
@@ -80,7 +178,7 @@ def _cmd_cycles(args):
     h = _load(args)
     records = k_cycles(h, args.at, args.k)
     return {"kind": "cycles", "at": args.at, "k": args.k,
-            "records": _walk_records_json(records)}
+            "records": Records(_WALK_FIELDS, records)}
 
 
 def _cmd_trails(args):
@@ -89,7 +187,7 @@ def _cmd_trails(args):
     h = _load(args)
     records = k_trails(h, args.src, args.dst, args.k)
     return {"kind": "trails", "from": args.src, "to": args.dst, "k": args.k,
-            "records": _walk_records_json(records)}
+            "records": Records(_WALK_FIELDS, records)}
 
 
 def _cmd_independent(args):
@@ -143,7 +241,8 @@ def _cmd_matchings(args):
                 "edge_sets": _sets_json(j_intersecting_matchings(h, args.j, args.k))}
     records = k_matchings(h, args.k)
     return {"kind": "matchings", "k": args.k,
-            "records": [{"vertices": sorted(vs), "count": c} for vs, c in records]}
+            "records": Records(("vertices", "count"),
+                               [(tuple(sorted(vs)), c) for vs, c in records])}
 
 
 def _cmd_transversals(args):
@@ -185,13 +284,13 @@ def _cmd_oracle(args):
     which = args.oracle_command
     if which == "paths":
         return {"kind": "oracle-paths", "from": args.src, "to": args.dst, "k": args.k,
-                "records": _oracle_records_json(oracle.brute_paths(h, args.src, args.dst, args.k))}
+                "records": _oracle_records(oracle.brute_paths(h, args.src, args.dst, args.k))}
     if which == "cycles":
         return {"kind": "oracle-cycles", "at": args.at, "k": args.k,
-                "records": _oracle_records_json(oracle.brute_cycles(h, args.at, args.k))}
+                "records": _oracle_records(oracle.brute_cycles(h, args.at, args.k))}
     if which == "trails":
         return {"kind": "oracle-trails", "from": args.src, "to": args.dst, "k": args.k,
-                "records": _oracle_records_json(oracle.brute_trails(h, args.src, args.dst, args.k))}
+                "records": _oracle_records(oracle.brute_trails(h, args.src, args.dst, args.k))}
     if which == "independent-sets":
         sets = oracle.brute_independent(h, args.mode, args.size, args.k)
         return {"kind": "oracle-independent-sets", "mode": args.mode, "size": args.size,
@@ -299,11 +398,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    # a library warning reads like the CLI's own: one line, no source location
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.handler(args)
+        with warnings.catch_warnings():  # restores showwarning on exit
+            warnings.showwarning = _warning_line
+            report = args.handler(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -333,15 +439,14 @@ def main(argv=None) -> int:
 
 
 def _write_report(report):
-    # the indenting encoder writes once per token; with write-through on (as
-    # under PYTHONUNBUFFERED) each write would be its own syscall
+    # the writer writes once per chunk; with write-through on (as under
+    # PYTHONUNBUFFERED) a small chunk would be its own syscall
     out = sys.stdout
     buffered = isinstance(out, io.TextIOWrapper) and out.write_through
     if buffered:
         out.reconfigure(write_through=False)
     try:
-        json.dump(report, out, indent=2)
-        print(file=out)
+        _write_json(report, out)
         out.flush()  # a closed reader shows here, not at interpreter exit
     finally:
         if buffered:

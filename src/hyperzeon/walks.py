@@ -20,10 +20,13 @@ from .hypergraph import Hypergraph
 
 
 class WalkRecord(NamedTuple):
-    """One surviving basis term: the walk's vertex set, edge set, and multiplicity."""
+    """One surviving basis term: the walk's vertex set, edge set, and multiplicity.
 
-    vertex_set: frozenset
-    edge_set: frozenset
+    The sets are tuples of ids in ascending order.
+    """
+
+    vertex_set: tuple
+    edge_set: tuple
     count: int
 
 
@@ -209,15 +212,17 @@ def _row_power(mat: AlgebraMatrix, i: int, k: int, start: Element | None, col: i
 
 
 def _extract_records(element: Element, n: int) -> list[WalkRecord]:
-    """One record per term, ordered by sorted vertex ids, then sorted edge ids."""
+    """One record per term, ordered by vertex ids, then edge ids."""
     support = element.signature.support
-    rows = []
+    records = []
     for key, coeff in element.packed.items():
         gids = support(key)  # ascending: vertex ids below n, edge ids from n
         split = bisect_left(gids, n)
-        rows.append(([g + 1 for g in gids[:split]], [g - n + 1 for g in gids[split:]], coeff))
-    rows.sort()
-    return [WalkRecord(frozenset(vs), frozenset(es), coeff) for vs, es, coeff in rows]
+        records.append(WalkRecord(
+            tuple([g + 1 for g in gids[:split]]), tuple([g - n + 1 for g in gids[split:]]), coeff
+        ))
+    records.sort()
+    return records
 
 
 def _check_vertex(h: Hypergraph, v: int):

@@ -71,4 +71,4 @@ def strip_isolated(h: Hypergraph) -> Hypergraph:
 
 
 def records_to_dict(records) -> dict:
-    return {(r.vertex_set, r.edge_set): r.count for r in records}
+    return {(frozenset(r.vertex_set), frozenset(r.edge_set)): r.count for r in records}

@@ -9,10 +9,12 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, SAMPLE7_TEXT
 import hyperzeon
-from hyperzeon.cli import main
+from hyperzeon.cli import Records, _write_json, main
 
 SAMPLE7_PATH = str(DATA / "sample7.hg")
 # the source tree a child interpreter imports hyperzeon from
@@ -98,6 +100,18 @@ class TestStructureCommands:
         code, report, _ = run(capsys, ["matchings", "--perfect"])
         assert code == 0
         assert report == {"kind": "matchings", "perfect": 1}
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n1 2\n1 2 3\n", "hypergraph is not uniform; reporting 0 perfect matchings"),
+        ("3 1\n1 2\n", "vertex count 3 is not a multiple of edge size 2; reporting 0"),
+    ])
+    def test_matchings_perfect_warning_is_one_line(self, capsys, monkeypatch, text, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main(["matchings", "--perfect"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == '{\n  "kind": "matchings",\n  "perfect": 0\n}\n'
+        assert captured.err == f"warning: {message}\n"
 
     def test_weak_independent_sets(self, capsys):
         code, report, _ = run(
@@ -375,6 +389,112 @@ class TestHarnessCommands:
         assert (report["trials"], report["violations"]) == (0, 0)
 
 
+def plain(value):
+    """The report the writer renders, with each Records as the list of dicts it stands for."""
+    if isinstance(value, Records):
+        return [dict(zip(value.fields, map(plain, row))) for row in value.rows]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    return value
+
+
+INTS = st.one_of(st.integers(), st.sampled_from([-1, 0, 2**64, 2**64 + 1, -(2**70)]))
+INT_TUPLES = st.lists(INTS, max_size=5).map(tuple)
+STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.text(st.sampled_from(['"', "\\", "/", "\n", "\x00", "é", "☃", "\U0001f600", "a"]), max_size=8),
+)
+SCALARS = st.one_of(st.none(), st.booleans(), INTS, INT_TUPLES, STRINGS)
+
+
+@st.composite
+def records(draw, values):
+    fields = draw(st.lists(STRINGS, min_size=1, max_size=3, unique=True))
+    rows = draw(st.lists(st.tuples(*[values for _ in fields]), max_size=6))
+    return Records(tuple(fields), rows)
+
+
+REPORTS = st.dictionaries(STRINGS, st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(STRINGS, inner, max_size=4),
+        records(inner),
+    ),
+    max_leaves=24,
+), max_size=6)
+
+
+class _RawSink(io.RawIOBase):
+    """A raw binary stream that keeps each write it receives."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+        return len(data)
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(REPORTS)
+    @example({"by_size": {}, "complete_size": 3, "removed_isolated": []})
+    @example({"records": Records(("vertices", "edges", "count"), [((), (), 1), ((2,), (), 0)])})
+    @example({"records": Records(("vertices", "count"), []), "sets": [(), (1, 2)]})
+    @example({"tau": 0, "transversals": [[]], "log": 'a"b\\c\u00e9\u2603', "seed": -(2**65)})
+    @example({"log": None, "ok": True, "bad": False, "nested": {"a": [{}, [], ()]}})
+    def test_bytes_match_the_encoder(self, report):
+        out = io.StringIO()
+        _write_json(report, out)
+        assert out.getvalue() == json.dumps(plain(report), indent=2) + "\n"
+
+    def test_write_through_stream_gets_few_large_writes(self, monkeypatch):
+        # K8: 360 five-step paths from 1 to 2, one record each
+        pairs = [(u, v) for u in range(1, 9) for v in range(u + 1, 9)]
+        text = f"8 {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)
+        raw = _RawSink()
+        out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdout", out)
+        assert main(["paths", "--from", "1", "--to", "2", "--k", "5"]) == 0
+        assert out.write_through
+        data = b"".join(raw.writes)
+        report = json.loads(data)
+        assert len(report["records"]) == 360
+        assert data == (json.dumps(report, indent=2) + "\n").encode()
+        assert len(data) > 8192
+        assert len(raw.writes) <= len(data) // 8192 + 2
+        # streamed: no single write carries the whole report
+        assert max(map(len, raw.writes)) < len(data)
+
+
+class TestOptimizedInterpreter:
+    def test_same_stdout_under_dash_o(self):
+        commands = [
+            ["paths", "--from", "3", "--to", "4", "--k", "3"],
+            ["matchings", "--k", "2"],
+            ["transversals"],
+            ["independent-sets", "--mode", "weak", "--size", "5"],
+        ]
+        for argv in commands:
+            outputs = []
+            for flags in ([], ["-O"]):
+                done = subprocess.run(
+                    [sys.executable, *flags, "-m", "hyperzeon.cli", *argv, "--file", SAMPLE7_PATH],
+                    capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
+                )
+                assert done.returncode == 0, done.stderr
+                outputs.append(done.stdout)
+            assert json.loads(outputs[0])
+            assert outputs[0] == outputs[1], argv
+
+
 def loaded_after(imports: str, watched) -> list[str]:
     """The ``watched`` modules a fresh interpreter has loaded after ``import <imports>``."""
     probe = f"import sys, {imports}; print(*[m for m in {tuple(watched)!r} if m in sys.modules])"
@@ -391,6 +511,11 @@ class TestImports:
                    "conjectures", "oracle")
         imports = ", ".join(f"hyperzeon.{name}" for name in modules)
         assert loaded_after(imports, ("dataclasses", "inspect", "ast", "dis")) == []
+
+    def test_no_module_loads_fractions(self):
+        modules = ("cli", "walks", "independent_sets", "matchings", "transversals", "conjectures")
+        imports = ", ".join(f"hyperzeon.{name}" for name in modules)
+        assert loaded_after(imports, ("fractions", "decimal")) == []
 
     def test_cli_import_loads_no_harness_or_oracle(self):
         assert loaded_after("hyperzeon.cli", ("hyperzeon.conjectures", "hyperzeon.oracle")) == []

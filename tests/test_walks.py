@@ -115,7 +115,7 @@ class TestPaths:
                         continue
                     for rec in k_paths(sample7, i, j, k):
                         assert len(rec.vertex_set) == k + 1
-                        assert {i, j} <= rec.vertex_set
+                        assert {i, j} <= set(rec.vertex_set)
                         assert rec.count >= 1
 
     def test_paths_vanish_beyond_vertex_budget(self, sample7):
@@ -227,7 +227,7 @@ class TestTrails:
             for j in range(1, 8):
                 if i == j:
                     continue
-                trail_edges = {r.edge_set for r in k_trails(sample7, i, j, 1)}
+                trail_edges = {frozenset(r.edge_set) for r in k_trails(sample7, i, j, 1)}
                 path_edges = set()
                 for r in k_paths(sample7, i, j, 1):
                     path_edges |= {frozenset({e}) for e in r.edge_set}
@@ -267,6 +267,23 @@ class TestRecordType:
         rec = WalkRecord(frozenset({1, 2}), frozenset({1}), 1)
         with pytest.raises(AttributeError):
             rec.count = 2
+
+    def test_sets_are_ascending_int_tuples(self, sample7):
+        records = []
+        for k in (1, 2, 3, 4):
+            for i in range(1, 8):
+                if k >= 2:
+                    records += k_cycles(sample7, i, k)
+                for j in range(1, 8):
+                    records += k_trails(sample7, i, j, k)
+                    if i != j:
+                        records += k_paths(sample7, i, j, k)
+        assert records
+        for rec in records:
+            for ids in (rec.vertex_set, rec.edge_set):
+                assert type(ids) is tuple
+                assert all(type(x) is int for x in ids)
+                assert all(a < b for a, b in zip(ids, ids[1:]))
 
     def test_matrix_power_zero_is_identity(self, sample7):
         ident = build_omega(sample7).power(0)
