@@ -24,7 +24,7 @@ _EXPORTS = {
     ),
     "matchings": (
         "incidence_representation", "j_intersecting_matchings", "k_matchings",
-        "perfect_matching_count", "spanning_matching_count",
+        "perfect_matching_count",
     ),
     "transversals": ("minimum_transversals", "transversal_number", "transversal_representation"),
     "walks": (

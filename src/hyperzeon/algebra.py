@@ -8,9 +8,10 @@ generators" with a single flat id space.  Elements are immutable sparse sums of 
 integer or rational coefficients; all operations are pure functions.
 
 Internally every monomial is one packed ``int`` (see :class:`Signature`), and
-:func:`mul_into` is the only product of monomials; :func:`subset_products`
-builds the enumerators' subset levels on it.  The public view of an element's
-terms keeps canonical tuple monomials.
+:func:`mul_into`, which multiplies packed term dicts, is the only product of
+monomials; :func:`subset_products` builds the enumerators' subset levels on
+it.  :class:`Element` is the public value type, and the public view of an
+element's terms keeps canonical tuple monomials.
 """
 
 from __future__ import annotations
@@ -238,23 +239,22 @@ class Signature:
         return "".join(parts)
 
 
-def mul_into(acc: dict, a: "Element", b: "Element") -> dict:
+def mul_into(signature: Signature, acc: dict, a: Mapping, b: Mapping) -> dict:
     """Add the product a*b into ``acc`` (packed monomial -> coefficient) and return it.
 
-    ``acc`` belongs to the caller and may already hold terms; entries can reach
-    zero along the way, and :meth:`Element.from_packed` drops them at the end.
+    ``a`` and ``b`` map packed monomials of ``signature`` to coefficients (a
+    dict or an :attr:`Element.packed` view) and are only read.  ``acc``
+    belongs to the caller and may already hold terms; entries can reach zero
+    along the way, and :meth:`Element.from_packed` drops them at the end.
     """
-    sig = a.signature
-    if b.signature is not sig and b.signature != sig:
-        raise ContextError("elements belong to different signatures")
-    if len(a._terms) < len(b._terms):
+    if len(a) < len(b):
         a, b = b, a  # the product commutes; split the smaller operand
-    idem, bias, guard = sig._idem, sig._bias, sig._guard
+    idem, bias, guard = signature._idem, signature._bias, signature._guard
     # s = a + (b & N) + BIAS: no field carries out, so a's idempotent bits pass
     # through the sum unchanged and b's are OR-ed in afterwards
-    inner = [((m & ~idem) + bias, m & idem, c) for m, c in b._terms.items()]
+    inner = [((m & ~idem) + bias, m & idem, c) for m, c in b.items()]
     get = acc.get
-    for ma, ca in a._terms.items():
+    for ma, ca in a.items():
         for bn, bi, cb in inner:
             s = ma + bn
             if s & guard:
@@ -280,13 +280,12 @@ def subset_products(signature: Signature, factors, depth: int | None = None):
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    factors = list(factors)
-    count = len(factors)
-    units = [Element(signature, {f: 1}, _raw=True) for f in factors]
+    units = [{f: 1} for f in factors]  # read only, so they double as level 1
+    count = len(units)
     # a j-subset whose last factor is i can grow to `depth` factors iff i < cut + j
     cut = count if depth is None else count - depth
     # parts[i]: products of the current level's subsets whose last factor is i
-    parts = [{f: 1} for f in factors[: max(0, cut + 1)]]
+    parts = units[: max(0, cut + 1)]
     j = 1
     while any(parts):
         if depth is None or j == depth:
@@ -300,12 +299,11 @@ def subset_products(signature: Signature, factors, depth: int | None = None):
         # level j+1 ending at i: (level-j subsets ending before i) * factor i,
         # with equal products merged in the running prefix first
         prefix: dict = {}
-        before = Element(signature, prefix, _raw=True)  # a live view of prefix
         nxt = [{} for _ in range(min(count, cut + j + 1))]
         for i in range(j, len(nxt)):
             for m, c in parts[i - 1].items():
                 prefix[m] = prefix.get(m, 0) + c
-            mul_into(nxt[i], before, units[i])
+            mul_into(signature, nxt[i], prefix, units[i])
         parts = nxt
         j += 1
 
@@ -337,12 +335,8 @@ class Element:
 
     __slots__ = ("signature", "_terms")
 
-    def __init__(self, signature: Signature, terms=(), *, _raw: bool = False):
+    def __init__(self, signature: Signature, terms=()):
         self.signature = signature
-        if _raw:
-            # packed keys, canonical, no zero coefficients
-            self._terms = terms
-            return
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Coeff] = {}
         for monomial, coeff in items:
@@ -355,7 +349,7 @@ class Element:
 
     @classmethod
     def scalar(cls, signature: Signature, value: Coeff) -> "Element":
-        return cls(signature, {} if value == 0 else {0: value}, _raw=True)
+        return cls.from_packed(signature, {0: value})
 
     @classmethod
     def blade(cls, signature: Signature, gids: Iterable[int], coeff: Coeff = 1) -> "Element":
@@ -370,7 +364,10 @@ class Element:
         """
         if 0 in terms.values():
             terms = {m: c for m, c in terms.items() if c != 0}
-        return cls(signature, terms, _raw=True)
+        out = object.__new__(cls)
+        out.signature = signature
+        out._terms = terms
+        return out
 
     # -- views -----------------------------------------------------------
 
@@ -418,17 +415,13 @@ class Element:
             return NotImplemented
         acc = dict(self._terms)
         for m, c in rhs._terms.items():
-            s = acc.get(m, 0) + c
-            if s == 0:
-                acc.pop(m, None)
-            else:
-                acc[m] = s
-        return Element(self.signature, acc, _raw=True)
+            acc[m] = acc.get(m, 0) + c
+        return Element.from_packed(self.signature, acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Element(self.signature, {m: -c for m, c in self._terms.items()}, _raw=True)
+        return Element.from_packed(self.signature, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         rhs = self._coerce(other)
@@ -443,16 +436,13 @@ class Element:
         return rhs + (-self)
 
     def __mul__(self, other):
+        sig = self.signature
         if _is_scalar(other):
-            if other == 0:
-                return Element(self.signature, {}, _raw=True)
-            return Element(
-                self.signature, {m: c * other for m, c in self._terms.items()}, _raw=True
-            )
+            return Element.from_packed(sig, {m: c * other for m, c in self._terms.items()})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return Element.from_packed(self.signature, mul_into({}, self, rhs))
+        return Element.from_packed(sig, mul_into(sig, {}, self._terms, rhs._terms))
 
     __rmul__ = __mul__
 
@@ -461,13 +451,14 @@ class Element:
         # and a vanished partial product short-circuits the rest.
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
+        sig = self.signature
         if k == 0:
-            return Element.scalar(self.signature, 1)
+            return Element.scalar(sig, 1)
         out = self
         for _ in range(k - 1):
             if not out:
                 break
-            out = Element.from_packed(self.signature, mul_into({}, out, self))
+            out = Element.from_packed(sig, mul_into(sig, {}, out._terms, self._terms))
         return out
 
     # -- structure queries -------------------------------------------------
@@ -480,15 +471,13 @@ class Element:
             return self
         acc = dict(self._terms)
         del acc[0]
-        return Element(self.signature, acc, _raw=True)
+        return Element.from_packed(self.signature, acc)
 
     def grade_part(self, k: int) -> "Element":
         """Terms whose monomial involves exactly k distinct generators."""
         support = self.signature.support
-        return Element(
-            self.signature,
-            {m: c for m, c in self._terms.items() if len(support(m)) == k},
-            _raw=True,
+        return Element.from_packed(
+            self.signature, {m: c for m, c in self._terms.items() if len(support(m)) == k}
         )
 
     def scalar_sum(self) -> Coeff:

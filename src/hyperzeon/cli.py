@@ -15,7 +15,6 @@ import io
 import json
 import os
 import sys
-import warnings
 
 from . import hypergraph as hg
 from .errors import BudgetError, InvariantError, ParseError
@@ -398,18 +397,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None):
-    # a library warning reads like the CLI's own: one line, no source location
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with warnings.catch_warnings():  # restores showwarning on exit
-            warnings.showwarning = _warning_line
-            report = args.handler(args)
+        report = args.handler(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -12,8 +12,6 @@ intersection graph, which also yields j-intersecting matchings.
 
 from __future__ import annotations
 
-import warnings
-
 from .algebra import Element, Signature, subset_level, subset_products
 from .hypergraph import Hypergraph
 from .independent_sets import graph_independent_sets
@@ -50,43 +48,25 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
 
 
 def perfect_matching_count(h: Hypergraph) -> int:
-    """Number of pairwise-disjoint edge families covering every vertex, for uniform inputs.
+    """Number of pairwise-disjoint edge families covering every vertex.
 
-    Reads the full-blade coefficient among the products of (n/r)-subsets of
-    the edge blades.  Non-uniform inputs, or vertex counts not divisible by
-    the edge size, return 0 with a warning; spanning_matching_count handles
-    the general case.
+    Reads the full-blade coefficient among the products of subsets of the
+    edge blades.  An r-uniform input reads level n/r alone, as the paper's
+    γ^(n/r)/(n/r)! does, and has no perfect matching when r does not
+    divide n; any other input sums the coefficient over every level.
     """
     _check_distinct_edges(h)
     if h.n == 0:
         return 1  # the empty family covers no vertex
+    gamma = incidence_representation(h)
+    sig = gamma.signature
+    full = sig.encode((g, 1) for g in range(h.n))
     r = h.uniform_rank()
     if r is None:
-        warnings.warn("hypergraph is not uniform; reporting 0 perfect matchings")
-        return 0
+        return sum(level.get(full, 0) for _, level in subset_products(sig, gamma.packed))
     if h.n % r:
-        warnings.warn(f"vertex count {h.n} is not a multiple of edge size {r}; reporting 0")
         return 0
-    k = h.n // r
-    gamma = incidence_representation(h)
-    sig = gamma.signature
-    full = sig.encode((g, 1) for g in range(h.n))
-    return subset_level(sig, gamma.packed, k).get(full, 0)
-
-
-def spanning_matching_count(h: Hypergraph) -> int:
-    """Perfect-matching count without the uniformity assumption.
-
-    Sums the full-blade coefficient over the products of k-subsets of the
-    edge blades, for every k (at most one k contributes for uniform inputs).
-    """
-    _check_distinct_edges(h)
-    if h.n == 0:
-        return 1
-    gamma = incidence_representation(h)
-    sig = gamma.signature
-    full = sig.encode((g, 1) for g in range(h.n))
-    return sum(level.get(full, 0) for _, level in subset_products(sig, gamma.packed))
+    return subset_level(sig, gamma.packed, h.n // r).get(full, 0)
 
 
 def j_intersecting_matchings(h: Hypergraph, j: int, k: int) -> list[frozenset]:

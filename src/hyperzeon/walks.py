@@ -72,8 +72,12 @@ class AlgebraMatrix:
             raise ValueError("matrix signatures differ")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        rows = [_row_times_matrix(row, other) for row in self.entries]
-        return AlgebraMatrix(self.signature, rows)
+        sig = self.signature
+        rows = []
+        for row in self.entries:
+            accs = _row_times_matrix([x.packed for x in row], other)
+            rows.append([Element.from_packed(sig, acc) for acc in accs])
+        return AlgebraMatrix(sig, rows)
 
     def power(self, k: int) -> "AlgebraMatrix":
         if k < 0:
@@ -176,29 +180,31 @@ def build_bipartite(h: Hypergraph) -> AlgebraMatrix:
 # -- walk extraction --------------------------------------------------------------
 
 
-def _row_times_matrix(row, mat: AlgebraMatrix) -> tuple:
-    """The row vector times the matrix, each entry summed in place by mul_into."""
+def _row_times_matrix(row, mat: AlgebraMatrix) -> list[dict]:
+    """A row of packed term mappings times the matrix: one dict per column, summed by mul_into."""
     sig = mat.signature
     accs = [{} for _ in range(mat.cols)]
     for rv, mat_row in zip(row, mat.entries):
         if rv:
             for acc, b in zip(accs, mat_row):
                 if b:
-                    mul_into(acc, rv, b)
-    return tuple(Element.from_packed(sig, acc) for acc in accs)
+                    mul_into(sig, acc, rv, b.packed)
+    return accs
 
 
 def _row_power(mat: AlgebraMatrix, i: int, k: int, start: Element | None, col: int) -> Element:
     """Entry (i, col) of mat**k, with ``start`` multiplied into row i first when given.
 
-    Builds row i of mat**(k-1), stopping once the row is all zero (every later
-    power's row is zero too), and multiplies it by column ``col`` alone.
+    Builds row i of mat**(k-1) as packed dicts, stopping once the row is all
+    zero (every later power's row is zero too), and multiplies it by column
+    ``col`` alone.
     """
-    row = mat.entries[i - 1]
+    sig = mat.signature
+    row = [x.packed for x in mat.entries[i - 1]]
     if start is not None:
-        row = tuple(start * x for x in row)
+        row = [mul_into(sig, {}, start.packed, x) for x in row]
     if k == 1:
-        return row[col - 1]
+        return Element.from_packed(sig, dict(row[col - 1]))
     for _ in range(k - 2):
         if not any(row):
             break
@@ -207,8 +213,8 @@ def _row_power(mat: AlgebraMatrix, i: int, k: int, start: Element | None, col: i
     for rv, mat_row in zip(row, mat.entries):
         b = mat_row[col - 1]
         if rv and b:
-            mul_into(acc, rv, b)
-    return Element.from_packed(mat.signature, acc)
+            mul_into(sig, acc, rv, b.packed)
+    return Element.from_packed(sig, acc)
 
 
 def _extract_records(element: Element, n: int) -> list[WalkRecord]:

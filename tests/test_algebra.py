@@ -14,6 +14,7 @@ from hyperzeon.algebra import (
     Signature,
     annihilates,
     monomial_ids,
+    mul_into,
     nilpotency_index,
 )
 from hyperzeon.errors import ContextError
@@ -337,6 +338,31 @@ class TestPackedKernel:
         got = as_element(sig, a_terms) * as_element(sig, b_terms)
         want = reference_product(sig, a_terms, b_terms)
         assert dict(got.terms.items()) == want
+
+    @given(operand_pairs(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_into_accumulates_and_reads_operands_only(self, case, a_view, b_view):
+        sig, a_terms, b_terms = case
+        a, b = as_element(sig, a_terms), as_element(sig, b_terms)
+        left = a.packed if a_view else dict(a.packed)
+        right = b.packed if b_view else dict(b.packed)
+        before = dict(left), dict(right)
+        # acc holds a's terms minus the product's, so the product's own terms cancel to 0
+        want_ab = reference_product(sig, a_terms, b_terms)
+        want = reference_terms(a_terms)
+        acc = {}
+        for mono, c in want.items():
+            acc[sig.encode(mono)] = c
+        for mono, c in want_ab.items():
+            key = sig.encode(mono)
+            acc[key] = acc.get(key, 0) - c
+        assert mul_into(sig, acc, left, right) is acc
+        assert (dict(left), dict(right)) == before
+        zeros = {key for key, c in acc.items() if c == 0}
+        assert {sig.encode(mono) for mono in want_ab if mono not in want} <= zeros
+        got = Element.from_packed(sig, acc)
+        assert dict(got.terms.items()) == want
+        assert 0 not in got.packed.values()
 
     @given(operand_pairs())
     @settings(max_examples=100, deadline=None)

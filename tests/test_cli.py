@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from conftest import DATA, SAMPLE7_TEXT
 import hyperzeon
 from hyperzeon.cli import Records, _write_json, main
+from hyperzeon.hypergraph import parse
+from hyperzeon.oracle import brute_perfect_matchings
 
 SAMPLE7_PATH = str(DATA / "sample7.hg")
 # the source tree a child interpreter imports hyperzeon from
@@ -101,17 +103,17 @@ class TestStructureCommands:
         assert code == 0
         assert report == {"kind": "matchings", "perfect": 1}
 
-    @pytest.mark.parametrize("text, message", [
-        ("3 2\n1 2\n1 2 3\n", "hypergraph is not uniform; reporting 0 perfect matchings"),
-        ("3 1\n1 2\n", "vertex count 3 is not a multiple of edge size 2; reporting 0"),
-    ])
-    def test_matchings_perfect_warning_is_one_line(self, capsys, monkeypatch, text, message):
+    @pytest.mark.parametrize(
+        "text", ["3 2\n1 2\n1 2 3\n", "3 1\n1 2\n"], ids=["non-uniform", "indivisible"]
+    )
+    def test_matchings_perfect_matches_oracle(self, capsys, monkeypatch, text):
+        want = brute_perfect_matchings(parse(text))
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code = main(["matchings", "--perfect"])
         captured = capsys.readouterr()
         assert code == 0
-        assert captured.out == '{\n  "kind": "matchings",\n  "perfect": 0\n}\n'
-        assert captured.err == f"warning: {message}\n"
+        assert captured.out == f'{{\n  "kind": "matchings",\n  "perfect": {want}\n}}\n'
+        assert captured.err == ""
 
     def test_weak_independent_sets(self, capsys):
         code, report, _ = run(
@@ -476,23 +478,26 @@ class TestReportWriter:
 
 class TestOptimizedInterpreter:
     def test_same_stdout_under_dash_o(self):
+        # -W error turns any warning the library raises into a traceback
         commands = [
             ["paths", "--from", "3", "--to", "4", "--k", "3"],
             ["matchings", "--k", "2"],
+            ["matchings", "--perfect"],  # sample7 is not uniform
             ["transversals"],
             ["independent-sets", "--mode", "weak", "--size", "5"],
         ]
         for argv in commands:
             outputs = []
-            for flags in ([], ["-O"]):
+            for flags in ([], ["-O"], ["-W", "error"]):
                 done = subprocess.run(
                     [sys.executable, *flags, "-m", "hyperzeon.cli", *argv, "--file", SAMPLE7_PATH],
                     capture_output=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60,
                 )
                 assert done.returncode == 0, done.stderr
+                assert b"Traceback" not in done.stderr, (flags, argv)
                 outputs.append(done.stdout)
             assert json.loads(outputs[0])
-            assert outputs[0] == outputs[1], argv
+            assert outputs[0] == outputs[1] == outputs[2], argv
 
 
 def loaded_after(imports: str, watched) -> list[str]:

@@ -15,7 +15,6 @@ from hyperzeon.matchings import (
     j_intersecting_matchings,
     k_matchings,
     perfect_matching_count,
-    spanning_matching_count,
 )
 from hyperzeon.oracle import (
     brute_j_intersecting,
@@ -127,14 +126,15 @@ class TestPerfectMatchings:
         h = Hypergraph(6, [{1, 2, 3}, {4, 5, 6}, {1, 2, 4}, {3, 4, 5}])
         assert perfect_matching_count(h) == 1
 
-    def test_non_uniform_warns(self, sample7):
-        with pytest.warns(UserWarning, match="not uniform"):
-            assert perfect_matching_count(sample7) == 0
+    def test_non_uniform(self, sample7):
+        assert perfect_matching_count(sample7) == 0
+        assert perfect_matching_count(Hypergraph(3, [{1, 2}, {3}])) == 1
+        h = Hypergraph(4, [{1, 2}, {3, 4}, {1, 2, 3, 4}])
+        assert perfect_matching_count(h) == 2
 
-    def test_indivisible_warns(self):
+    def test_indivisible(self):
         h = Hypergraph(3, [{1, 2}, {2, 3}])
-        with pytest.warns(UserWarning, match="not a multiple"):
-            assert perfect_matching_count(h) == 0
+        assert perfect_matching_count(h) == 0
 
     def test_oracle_equivalence(self):
         rng = random.Random(32)
@@ -142,14 +142,11 @@ class TestPerfectMatchings:
             h = random_hypergraph(rng)
             if len(set(h.edges)) != h.m:
                 continue
-            want = brute_perfect_matchings(h)
-            if h.uniform_rank() is not None and h.n % h.uniform_rank() == 0:
-                assert perfect_matching_count(h) == want
-            assert spanning_matching_count(h) == want
+            assert perfect_matching_count(h) == brute_perfect_matchings(h)
 
     def test_spanning_on_empty(self):
-        assert spanning_matching_count(Hypergraph(0, [])) == 1
-        assert spanning_matching_count(Hypergraph(2, [])) == 0
+        assert perfect_matching_count(Hypergraph(0, [])) == 1
+        assert perfect_matching_count(Hypergraph(2, [])) == 0
 
     def test_perfect_on_empty(self):
         # the empty family is the one perfect matching of the empty hypergraph
