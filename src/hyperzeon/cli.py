@@ -17,7 +17,7 @@ import os
 import sys
 
 from . import hypergraph as hg
-from .errors import BudgetError, InvariantError, ParseError
+from .errors import BudgetError, InvariantError
 
 # Each handler imports its enumerator module itself, so a process loads only
 # the modules its subcommand uses.
@@ -30,13 +30,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# characters per read: a buffered text stream sizes its buffer by the count
+# asked for, so one read of the whole limit would allocate the limit
+_READ_CHARS = 1 << 16
+
+
+def _read_upto(stream, count: int) -> str:
+    """The first ``count`` characters of ``stream``, or all of it if shorter."""
+    parts = []
+    while count > 0 and (part := stream.read(min(_READ_CHARS, count))):
+        parts.append(part)
+        count -= len(part)
+    return "".join(parts)
+
+
 def _load(args) -> hg.Hypergraph:
     limit = hg.MAX_INPUT_CHARS
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read(limit + 1)
+            text = _read_upto(fh, limit + 1)
     else:
-        text = sys.stdin.read(limit + 1)
+        text = _read_upto(sys.stdin, limit + 1)
     if len(text) > limit:
         raise BudgetError(f"input is longer than the limit of {limit} characters")
     return hg.parse(text)
@@ -155,10 +169,6 @@ def _oracle_records(counts: dict) -> Records:
     return Records(_WALK_FIELDS, rows)
 
 
-def _sets_json(sets) -> list[tuple]:
-    return [tuple(sorted(s)) for s in sets]
-
-
 # -- subcommand handlers -----------------------------------------------------------
 
 
@@ -196,7 +206,7 @@ def _cmd_independent(args):
     mode = args.mode
     report = {"kind": "independent-sets", "mode": mode, "size": args.size}
     if mode == "graph":
-        report["sets"] = _sets_json(vs for vs, _ in ind.graph_independent_sets(h, args.size))
+        report["sets"] = ind.graph_independent_sets(h, args.size)
     elif mode == "weak":
         isolated = h.isolated_vertices()
         back = {v: v for v in range(1, h.n + 1)}
@@ -208,22 +218,20 @@ def _cmd_independent(args):
             relabel = {v: i + 1 for i, v in enumerate(keep)}
             back = {i + 1: v for i, v in enumerate(keep)}
             h = hg.Hypergraph(len(keep), [[relabel[v] for v in e] for e in h.edges])
-        by_size = ind.weak_independent_sets(h, args.size)
-        report["by_size"] = {
-            str(size): _sets_json(frozenset(back[v] for v in s) for s in sets)
-            for size, sets in by_size.items()
-        }
+        # back is increasing, so each mapped set stays ascending
+        sets = [tuple(back[v] for v in s) for s in ind.weak_independent_sets(h, args.size)]
+        report["by_size"] = {str(args.size): sets} if sets else {}
         report["complete_size"] = args.size
         report["removed_isolated"] = sorted(isolated)
     elif mode == "strong":
-        report["sets"] = _sets_json(ind.strong_independent_sets(h, args.size))
+        report["sets"] = ind.strong_independent_sets(h, args.size)
     elif mode == "k-independent":
         if args.k is None:
             raise ValueError("--k is required for mode k-independent")
         report["k"] = args.k
-        report["sets"] = _sets_json(ind.k_independent_sets(h, args.size, args.k))
+        report["sets"] = ind.k_independent_sets(h, args.size, args.k)
     else:  # pairwise-adjacent
-        report["sets"] = _sets_json(ind.pairwise_adjacent_sets(h, args.size))
+        report["sets"] = ind.pairwise_adjacent_sets(h, args.size)
     return report
 
 
@@ -237,11 +245,9 @@ def _cmd_matchings(args):
         raise ValueError("--k is required unless --perfect is given")
     if args.j is not None:
         return {"kind": "matchings", "j": args.j, "k": args.k,
-                "edge_sets": _sets_json(j_intersecting_matchings(h, args.j, args.k))}
-    records = k_matchings(h, args.k)
+                "edge_sets": j_intersecting_matchings(h, args.j, args.k)}
     return {"kind": "matchings", "k": args.k,
-            "records": Records(("vertices", "count"),
-                               [(tuple(sorted(vs)), c) for vs, c in records])}
+            "records": Records(("vertices", "count"), k_matchings(h, args.k))}
 
 
 def _cmd_transversals(args):
@@ -250,9 +256,9 @@ def _cmd_transversals(args):
     h = _load(args)
     isolated = sorted(h.isolated_vertices())
     if h.m == 0:
-        return {"tau": 0, "transversals": [[]], "removed_isolated": isolated}
+        return {"tau": 0, "transversals": [()], "removed_isolated": isolated}
     tau, sets = minimum_transversals(h)
-    return {"tau": tau, "transversals": _sets_json(sets), "removed_isolated": isolated}
+    return {"tau": tau, "transversals": sets, "removed_isolated": isolated}
 
 
 def _cmd_conjecture(args):
@@ -291,17 +297,16 @@ def _cmd_oracle(args):
         return {"kind": "oracle-trails", "from": args.src, "to": args.dst, "k": args.k,
                 "records": _oracle_records(oracle.brute_trails(h, args.src, args.dst, args.k))}
     if which == "independent-sets":
-        sets = oracle.brute_independent(h, args.mode, args.size, args.k)
         return {"kind": "oracle-independent-sets", "mode": args.mode, "size": args.size,
-                "sets": _sets_json(sets)}
+                "sets": oracle.brute_independent(h, args.mode, args.size, args.k)}
     if which == "matchings":
         if args.j is not None:
             return {"kind": "oracle-matchings", "j": args.j, "k": args.k,
-                    "edge_sets": _sets_json(oracle.brute_j_intersecting(h, args.j, args.k))}
+                    "edge_sets": oracle.brute_j_intersecting(h, args.j, args.k)}
         return {"kind": "oracle-matchings", "k": args.k,
-                "edge_sets": _sets_json(oracle.brute_matchings(h, args.k))}
+                "edge_sets": oracle.brute_matchings(h, args.k)}
     tau, sets = oracle.brute_transversals(h)
-    return {"tau": tau, "transversals": _sets_json(sets)}
+    return {"tau": tau, "transversals": sets}
 
 
 # -- parser ------------------------------------------------------------------------
@@ -402,13 +407,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = args.handler(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -39,8 +39,8 @@ class PhiRepresentation(NamedTuple):
         """1-based vertex ids carried by a monomial's idempotent part."""
         return frozenset(g - self.edge_count + 1 for g, _ in monomial if g >= self.edge_count)
 
-    def index_sets(self, level: dict, k: int) -> list[frozenset]:
-        """The sorted vertex index sets of a level's terms (packed key -> coefficient).
+    def index_sets(self, level: dict, k: int) -> list[tuple]:
+        """The sorted ascending vertex id tuples of a level's terms (packed key -> coefficient).
 
         Each term must carry exactly k vertex labels with coefficient 1, and no set may repeat.
         """
@@ -50,16 +50,16 @@ class PhiRepresentation(NamedTuple):
         shift = 1 - self.edge_count  # vertex label id -> 1-based vertex id
         out = []
         for key, coeff in level.items():
-            xs = [g + shift for g in support(key & vertices)]
+            xs = tuple(g + shift for g in support(key & vertices))
             if len(xs) != k or coeff != 1:
-                raise InvariantError(f"index set {xs} with coefficient {coeff} at level {k}")
+                raise InvariantError(f"index set {list(xs)} with coefficient {coeff} at level {k}")
             out.append(xs)
         out.sort()
         if any(a == b for a, b in zip(out, out[1:])):
             raise InvariantError(f"an index set appeared twice at level {k}")
-        return [frozenset(xs) for xs in out]
+        return out
 
-    def level_sets(self, k: int) -> list[frozenset]:
+    def level_sets(self, k: int) -> list[tuple]:
         """The index sets of the k-subset products of this representation's factors, sorted."""
         return self.index_sets(subset_level(self.element.signature, self.element.packed, k), k)
 
@@ -99,18 +99,18 @@ def independent_set_representation(g: Hypergraph) -> PhiRepresentation:
     return PhiRepresentation(phi(g2, sig), g2.m)
 
 
-def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
-    """All independent k-sets of a graph, each with count 1.
+def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple]:
+    """All independent k-sets of a graph.
 
     Loops make a vertex self-adjacent for counting purposes but do not exclude
     it from independent sets.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return [(xs, 1) for xs in independent_set_representation(g).level_sets(k)]
+    return independent_set_representation(g).level_sets(k)
 
 
-def graph_cliques(g: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
+def graph_cliques(g: Hypergraph, k: int) -> list[tuple]:
     """All k-cliques of a graph: independent sets of its complement."""
     _check_graph(g)
     return graph_independent_sets(g.non_adjacency_graph(), k)
@@ -142,18 +142,16 @@ def weak_representation(h: Hypergraph) -> PhiRepresentation:
     return PhiRepresentation(phi(h, sig, skip), h.m)
 
 
-def weak_independent_sets(h: Hypergraph, k: int) -> dict[int, list[frozenset]]:
-    """All k-sets of vertices containing no hyperedge, as ``{k: sets}``.
+def weak_independent_sets(h: Hypergraph, k: int) -> list[tuple]:
+    """All k-sets of vertices containing no hyperedge.
 
-    The result is ``{}`` when there is no such set; only size k is reported.
-    The paper's k-th power also leaves smaller index sets behind, from
-    choosing a vertex twice; they are not the k-sets asked for, and the
-    subset products never form them.
+    Only size k is reported.  The paper's k-th power also leaves smaller
+    index sets behind, from choosing a vertex twice; they are not the k-sets
+    asked for, and the subset products never form them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    sets = weak_representation(h).level_sets(k)
-    return {k: sets} if sets else {}
+    return weak_representation(h).level_sets(k)
 
 
 def k_independent_representation(h: Hypergraph, k: int) -> PhiRepresentation:
@@ -165,7 +163,7 @@ def k_independent_representation(h: Hypergraph, k: int) -> PhiRepresentation:
     return PhiRepresentation(phi(h, sig), h.m)
 
 
-def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[frozenset]:
+def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[tuple]:
     """All vertex sets of the given size meeting every hyperedge in at most k vertices.
 
     Strong independent sets are k=1.
@@ -175,14 +173,14 @@ def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[frozenset]:
     return k_independent_representation(h, k).level_sets(size)
 
 
-def strong_independent_sets(h: Hypergraph, size: int) -> list[frozenset]:
+def strong_independent_sets(h: Hypergraph, size: int) -> list[tuple]:
     return k_independent_sets(h, size, 1)
 
 
-def pairwise_adjacent_sets(h: Hypergraph, k: int) -> list[frozenset]:
+def pairwise_adjacent_sets(h: Hypergraph, k: int) -> list[tuple]:
     """Vertex k-sets of h in which every pair shares some hyperedge.
 
     These are the independent sets of the non-adjacency graph, with the
     representation built on that graph directly.
     """
-    return [vs for vs, _ in graph_independent_sets(h.non_adjacency_graph(), k)]
+    return graph_independent_sets(h.non_adjacency_graph(), k)

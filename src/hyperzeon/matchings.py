@@ -32,19 +32,18 @@ def incidence_representation(h: Hypergraph) -> Element:
     return Element(incidence_signature(h), [(tuple((v - 1, 1) for v in e), 1) for e in h.edges])
 
 
-def k_matchings(h: Hypergraph, k: int) -> list[tuple[frozenset, int]]:
-    """(vertex set, count) for every union of k pairwise-disjoint edges."""
+def k_matchings(h: Hypergraph, k: int) -> list[tuple[tuple, int]]:
+    """Sorted (ascending vertex id tuple, count) for every union of k pairwise-disjoint edges."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_distinct_edges(h)
     gamma = incidence_representation(h)
     sig = gamma.signature
     support = sig.support
-    rows = sorted(
-        ([g + 1 for g in support(key)], count)
+    return sorted(
+        (tuple(g + 1 for g in support(key)), count)
         for key, count in subset_level(sig, gamma.packed, k).items()
     )
-    return [(frozenset(vs), count) for vs, count in rows]
 
 
 def perfect_matching_count(h: Hypergraph) -> int:
@@ -69,8 +68,8 @@ def perfect_matching_count(h: Hypergraph) -> int:
     return subset_level(sig, gamma.packed, h.n // r).get(full, 0)
 
 
-def j_intersecting_matchings(h: Hypergraph, j: int, k: int) -> list[frozenset]:
-    """Sets of k edges (1-based ids) whose pairwise intersections have size at most j.
+def j_intersecting_matchings(h: Hypergraph, j: int, k: int) -> list[tuple]:
+    """Sets of k edges (ascending 1-based ids) whose pairwise intersections have size at most j.
 
     Independent k-sets of the intersection graph whose threshold is j+1 shared
     vertices; j=0 recovers ordinary matchings as edge subsets.
@@ -79,4 +78,4 @@ def j_intersecting_matchings(h: Hypergraph, j: int, k: int) -> list[frozenset]:
         raise ValueError(f"j must be >= 0, got {j}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return [ids for ids, _ in graph_independent_sets(h.intersection_graph(j), k)]
+    return graph_independent_sets(h.intersection_graph(j), k)

@@ -34,10 +34,6 @@ def _check_vertex(h: Hypergraph, v: int):
         raise ValueError(f"vertex {v} outside 1..{h.n}")
 
 
-def _sorted_sets(sets) -> list[frozenset]:
-    return sorted(sets, key=sorted)
-
-
 # -- walks ---------------------------------------------------------------------
 
 
@@ -122,8 +118,8 @@ def brute_trails(h: Hypergraph, i: int, j: int, k: int) -> dict:
 # -- vertex subset structures ---------------------------------------------------
 
 
-def brute_independent(h: Hypergraph, mode: str, size: int, k: int | None = None) -> list[frozenset]:
-    """All vertex sets of the given size passing the mode's literal predicate.
+def brute_independent(h: Hypergraph, mode: str, size: int, k: int | None = None) -> list[tuple]:
+    """All vertex sets of the given size passing the mode's literal predicate, as ascending tuples.
 
     Modes: 'weak' (contains no hyperedge), 'strong' (meets every edge at most
     once), 'k-independent' (meets every edge at most k times; requires k),
@@ -151,12 +147,12 @@ def brute_independent(h: Hypergraph, mode: str, size: int, k: int | None = None)
 
     if size > h.n:
         return []  # combinations() would allocate `size` indices before finding none
-    hits = [frozenset(c) for c in combinations(range(1, h.n + 1), size) if pred(frozenset(c))]
-    return _sorted_sets(hits)
+    hits = [c for c in combinations(range(1, h.n + 1), size) if pred(frozenset(c))]
+    return sorted(hits)
 
 
-def brute_matchings(h: Hypergraph, k: int) -> list[frozenset]:
-    """All sets of k pairwise-disjoint edges, as frozensets of 1-based edge ids."""
+def brute_matchings(h: Hypergraph, k: int) -> list[tuple]:
+    """All sets of k pairwise-disjoint edges, as ascending tuples of 1-based edge ids."""
     _guard(h)
     if k > h.m:
         return []  # as in brute_independent
@@ -164,11 +160,11 @@ def brute_matchings(h: Hypergraph, k: int) -> list[frozenset]:
     for combo in combinations(range(h.m), k):
         edges = [h.edges[i] for i in combo]
         if all(not (a & b) for a, b in combinations(edges, 2)):
-            hits.append(frozenset(i + 1 for i in combo))
-    return _sorted_sets(hits)
+            hits.append(tuple(i + 1 for i in combo))
+    return sorted(hits)
 
 
-def brute_j_intersecting(h: Hypergraph, j: int, k: int) -> list[frozenset]:
+def brute_j_intersecting(h: Hypergraph, j: int, k: int) -> list[tuple]:
     """All sets of k edges whose pairwise intersections have size <= j (1-based ids)."""
     _guard(h)
     if k > h.m:
@@ -177,8 +173,8 @@ def brute_j_intersecting(h: Hypergraph, j: int, k: int) -> list[frozenset]:
     for combo in combinations(range(h.m), k):
         edges = [h.edges[i] for i in combo]
         if all(len(a & b) <= j for a, b in combinations(edges, 2)):
-            hits.append(frozenset(i + 1 for i in combo))
-    return _sorted_sets(hits)
+            hits.append(tuple(i + 1 for i in combo))
+    return sorted(hits)
 
 
 def brute_max_matching_size(h: Hypergraph) -> int:
@@ -204,16 +200,14 @@ def brute_perfect_matchings(h: Hypergraph) -> int:
     return count
 
 
-def brute_transversals(h: Hypergraph) -> tuple[int, list[frozenset]]:
+def brute_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
     """(tau, all minimum-cardinality vertex sets meeting every edge)."""
     _guard(h)
     for size in range(h.n + 1):
         hits = [
-            frozenset(c)
-            for c in combinations(range(1, h.n + 1), size)
-            if all(e & frozenset(c) for e in h.edges)
+            c for c in combinations(range(1, h.n + 1), size) if all(e & set(c) for e in h.edges)
         ]
         if hits:
-            return size, _sorted_sets(hits)
+            return size, sorted(hits)
     # every edge is non-empty, so a transversal of size <= n always exists
-    return 0, [frozenset()]
+    return 0, [()]

@@ -31,8 +31,8 @@ def transversal_representation(h: Hypergraph) -> PhiRepresentation:
     return PhiRepresentation(phi(h, transversal_signature(h), skip=h.isolated_vertices()), h.m)
 
 
-def minimum_transversals(h: Hypergraph) -> tuple[int, list[frozenset]]:
-    """(tau, every minimum-cardinality vertex set meeting all edges).
+def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
+    """(tau, every minimum-cardinality vertex set meeting all edges, sorted).
 
     Forms the products of j-subsets of the vertex factors, level by level,
     until one carries the full edge blade.  At that first level every

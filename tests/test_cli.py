@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -262,6 +264,29 @@ class TestInputLimits:
         assert done.stderr.startswith("budget exceeded:")
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("use_file", [False, True])
+    def test_small_input_reads_into_a_small_buffer(self, capsys, monkeypatch, tmp_path, use_file):
+        # a buffered text stream sizes one read(n) by n, so the limit must not be one read
+        text = "3 2\n1 2\n2 3\n"
+        path = tmp_path / "in.hg"
+        path.write_text(text, encoding="utf-8")
+        argv = ["paths", "--from", "1", "--to", "3", "--k", "2"]
+        if use_file:
+            argv += ["--file", str(path)]
+        peaks = []
+        for _ in range(2):  # the first run loads the modules the command imports
+            stdin = io.TextIOWrapper(io.BufferedReader(io.BytesIO(text.encode())), encoding="utf-8")
+            monkeypatch.setattr("sys.stdin", stdin)
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["records"]
+        assert peaks[1] < 2**20
+
     @pytest.mark.parametrize("payload", [
         "1 1\n" + "x" * 10**6 + "\n",
         "x" * 10**6 + " 1\n",
@@ -348,6 +373,71 @@ class TestOracleMirror:
             capsys, ["oracle", "paths", "--file", SAMPLE7_PATH, "--from", "3", "--to", "4", "--k", "3"]
         )
         assert fast["records"] == brute["records"]
+
+
+# a 5-cycle with vertex 6 isolated (graph mode gives it a loop)
+GRAPH_TEXT = "6 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"
+# K4 on 1..4, so the 2-matchings covering 1..4 count 3, plus a pendant edge and an isolated 6
+MATCHING_TEXT = "6 7\n1 2\n3 4\n1 3\n2 4\n1 4\n2 3\n4 5\n"
+
+
+class TestSetsMatchOracle:
+    """Each set-valued subcommand prints the sets its ``oracle`` twin prints, in its order."""
+
+    @staticmethod
+    def both(capsys, tmp_path, text, argv):
+        path = tmp_path / "in.hg"
+        path.write_text(text, encoding="utf-8")
+        fast = run(capsys, [argv[0], "--file", str(path), *argv[1:]])
+        brute = run(capsys, ["oracle", argv[0], "--file", str(path), *argv[1:]])
+        assert (fast[0], brute[0]) == (0, 0)
+        return fast[1], brute[1]
+
+    @pytest.mark.parametrize("text, argv", [
+        (GRAPH_TEXT, ["--mode", "graph", "--size", "3"]),
+        (GRAPH_TEXT, ["--mode", "graph", "--size", "2"]),
+        (SAMPLE7_TEXT, ["--mode", "strong", "--size", "2"]),
+        (SAMPLE7_TEXT, ["--mode", "k-independent", "--size", "4", "--k", "2"]),
+        (SAMPLE7_TEXT, ["--mode", "pairwise-adjacent", "--size", "3"]),
+        (MATCHING_TEXT, ["--mode", "pairwise-adjacent", "--size", "2"]),
+    ], ids=["graph-3", "graph-2", "strong", "k-independent", "pairwise-adjacent", "pairwise-2"])
+    def test_independent_sets(self, capsys, tmp_path, text, argv):
+        fast, brute = self.both(capsys, tmp_path, text, ["independent-sets", *argv])
+        assert fast["sets"]
+        assert fast["sets"] == brute["sets"]
+
+    @pytest.mark.parametrize("text, size", [(SAMPLE7_TEXT, 4), (SAMPLE7_TEXT, 5), (GRAPH_TEXT, 2)])
+    def test_weak(self, capsys, tmp_path, text, size):
+        fast, brute = self.both(
+            capsys, tmp_path, text, ["independent-sets", "--mode", "weak", "--size", str(size)]
+        )
+        # the command strips isolated vertices; the oracle lets them join any set
+        isolated = set(fast["removed_isolated"])
+        want = [s for s in brute["sets"] if not isolated & set(s)]
+        assert want
+        assert fast["by_size"] == {str(size): want}
+
+    @pytest.mark.parametrize("text", [SAMPLE7_TEXT, MATCHING_TEXT, GRAPH_TEXT])
+    def test_j0_matchings(self, capsys, tmp_path, text):
+        fast, brute = self.both(capsys, tmp_path, text, ["matchings", "--k", "2", "--j", "0"])
+        assert fast["edge_sets"]
+        assert fast["edge_sets"] == brute["edge_sets"]
+
+    @pytest.mark.parametrize("text", [SAMPLE7_TEXT, MATCHING_TEXT, GRAPH_TEXT])
+    def test_transversals(self, capsys, tmp_path, text):
+        fast, brute = self.both(capsys, tmp_path, text, ["transversals"])
+        assert (fast["tau"], fast["transversals"]) == (brute["tau"], brute["transversals"])
+
+    @pytest.mark.parametrize("text", [SAMPLE7_TEXT, MATCHING_TEXT])
+    def test_k_matchings(self, capsys, tmp_path, text):
+        fast, brute = self.both(capsys, tmp_path, text, ["matchings", "--k", "2"])
+        edges = parse(text).edges
+        unions = Counter(
+            tuple(sorted(set().union(*(edges[i - 1] for i in ids)))) for ids in brute["edge_sets"]
+        )
+        assert fast["records"] == [
+            {"vertices": list(vs), "count": c} for vs, c in sorted(unions.items())
+        ]
 
 
 class TestHarnessCommands:

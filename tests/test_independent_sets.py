@@ -23,13 +23,13 @@ PATH3 = Hypergraph(3, [{1, 2}, {2, 3}])
 K4 = Hypergraph(4, [set(p) for p in combinations(range(1, 5), 2)])
 
 
-def set_list(pairs):
-    return sorted(sorted(s) for s, _ in pairs)
+def set_list(sets):
+    return sorted(sorted(s) for s in sets)
 
 
 class TestGraphIndependentSets:
     def test_path_graph(self):
-        assert graph_independent_sets(PATH3, 2) == [(frozenset({1, 3}), 1)]
+        assert graph_independent_sets(PATH3, 2) == [(1, 3)]
 
     def test_complete_graph(self):
         assert graph_independent_sets(K4, 2) == []
@@ -47,34 +47,32 @@ class TestGraphIndependentSets:
         with pytest.raises(ValueError):
             graph_independent_sets(PATH3, 0)
 
-    def test_counts_always_one(self):
+    def test_sets_are_distinct_k_tuples(self):
         rng = random.Random(21)
         for _ in range(30):
             g = random_graph(rng)
             for k in (1, 2, 3):
-                for _, count in graph_independent_sets(g, k):
-                    assert count == 1
+                sets = graph_independent_sets(g, k)
+                assert all(len(s) == k for s in sets)
+                assert len(set(sets)) == len(sets)
 
     def test_oracle_equivalence(self):
         rng = random.Random(22)
         for _ in range(30):
             g = random_graph(rng)
             for k in (1, 2, 3):
-                got = {s for s, _ in graph_independent_sets(g, k)}
+                got = set(graph_independent_sets(g, k))
                 assert got == set(brute_independent(g, "graph", k))
 
 
 class TestGraphCliques:
     def test_k4_triangles(self):
-        got = {s for s, _ in graph_cliques(K4, 3)}
-        assert got == {frozenset(c) for c in combinations(range(1, 5), 3)}
+        got = set(graph_cliques(K4, 3))
+        assert got == set(combinations(range(1, 5), 3))
 
     def test_path_has_no_triangle(self):
         assert graph_cliques(PATH3, 3) == []
-        assert {s for s, _ in graph_cliques(PATH3, 2)} == {
-            frozenset({1, 2}),
-            frozenset({2, 3}),
-        }
+        assert set(graph_cliques(PATH3, 2)) == {(1, 2), (2, 3)}
 
     def test_sparse_graph_whose_complement_exceeds_the_input_limit(self):
         # 25 disjoint edges on 50 vertices: the non-adjacency graph has 1200 edges
@@ -92,16 +90,14 @@ class TestGraphCliques:
         for _ in range(30):
             g = random_graph(rng)
             for k in (2, 3):
-                got = {s for s, _ in graph_cliques(g, k)}
+                got = set(graph_cliques(g, k))
                 assert got == set(brute_independent(g, "clique", k))
 
 
 class TestWeakIndependentSets:
     def test_sample7_k5_by_size(self, sample7):
         got = weak_independent_sets(sample7, 5)
-        assert {size: sorted(sorted(s) for s in sets) for size, sets in got.items()} == {
-            5: [[2, 3, 4, 5, 7]],
-        }
+        assert sorted(sorted(s) for s in got) == [[2, 3, 4, 5, 7]]
 
     def test_sample7_phi5_expansion(self, sample7):
         # full fifth power, term for term: coefficient, edge-label exponents,
@@ -132,19 +128,18 @@ class TestWeakIndependentSets:
     def test_singleton_edge_vertex_never_appears(self):
         h = Hypergraph(3, [{1}, {1, 2, 3}])
         got = weak_independent_sets(h, 2)
-        assert all(1 not in s for sets in got.values() for s in sets)
-        assert sorted(sorted(s) for s in got.get(2, [])) == [[2, 3]]
+        assert all(1 not in s for s in got)
+        assert sorted(sorted(s) for s in got) == [[2, 3]]
 
     def test_reported_sets_contain_no_edge(self, sample7):
         for k in (2, 3, 4, 5):
-            for sets in weak_independent_sets(sample7, k).values():
-                for s in sets:
-                    assert not any(e <= s for e in sample7.edges)
+            for s in weak_independent_sets(sample7, k):
+                assert not any(e <= set(s) for e in sample7.edges)
 
     def test_full_size_complete(self, sample7):
         # completeness holds at size k exactly
         for k in (2, 3):
-            got = set(weak_independent_sets(sample7, k).get(k, []))
+            got = set(weak_independent_sets(sample7, k))
             assert got == set(brute_independent(sample7, "weak", k))
 
     def test_oracle_equivalence(self):
@@ -154,14 +149,14 @@ class TestWeakIndependentSets:
             if h.n == 0:
                 continue
             for k in (1, 2, 3):
-                got = set(weak_independent_sets(h, k).get(k, []))
+                got = set(weak_independent_sets(h, k))
                 assert got == set(brute_independent(h, "weak", k))
 
 
 class TestKIndependentSets:
     def test_sample7_strong_pair(self, sample7):
         got = strong_independent_sets(sample7, 2)
-        assert frozenset({2, 6}) in got
+        assert (2, 6) in got
         assert set(got) == set(brute_independent(sample7, "k-independent", 2, k=1))
 
     def test_size_one_is_all_singletons(self, sample7):
@@ -202,23 +197,23 @@ class TestTwoUniformCoincidence:
             if g.n == 0 or g.m == 0:
                 continue
             for k in (2, 3):
-                weak = set(weak_independent_sets(g, k).get(k, []))
+                weak = set(weak_independent_sets(g, k))
                 strong = set(strong_independent_sets(g, k))
-                plain = {s for s, _ in graph_independent_sets(g, k)}
+                plain = set(graph_independent_sets(g, k))
                 assert weak == strong == plain
 
 
 class TestPairwiseAdjacentSets:
     def test_sample7_triples(self, sample7):
         got = set(pairwise_adjacent_sets(sample7, 3))
-        assert frozenset({1, 4, 5}) in got
-        assert frozenset({4, 5, 6}) in got
+        assert (1, 4, 5) in got
+        assert (4, 5, 6) in got
         assert got == set(brute_independent(sample7, "pairwise-adjacent", 3))
 
     def test_pairs_are_adjacency_relation(self, sample7):
         got = set(pairwise_adjacent_sets(sample7, 2))
         want = {
-            frozenset({u, v})
+            (u, v)
             for u in range(1, 8)
             for v in range(u + 1, 8)
             if sample7.adjacent(u, v)

@@ -38,7 +38,7 @@ class TestRepresentation:
         )
         assert rep.element == want
         # level 1 of sigma, read back by the shared reader: one factor per vertex
-        assert rep.index_sets(rep.element.packed, 1) == [frozenset({v}) for v in range(1, 8)]
+        assert rep.index_sets(rep.element.packed, 1) == [(v,) for v in range(1, 8)]
 
     def test_single_edge(self):
         h = Hypergraph(2, [{1, 2}])
@@ -67,12 +67,12 @@ class TestRepresentation:
 
 class TestMinimumTransversals:
     def test_sample7(self, sample7):
-        assert minimum_transversals(sample7) == (2, [frozenset({1, 6})])
+        assert minimum_transversals(sample7) == (2, [(1, 6)])
         assert transversal_number(sample7) == 2
 
     def test_single_edge(self):
         h = Hypergraph(2, [{1, 2}])
-        assert minimum_transversals(h) == (1, [frozenset({1}), frozenset({2})])
+        assert minimum_transversals(h) == (1, [(1,), (2,)])
 
     def test_no_edges(self):
         h = Hypergraph(3, [])
@@ -89,7 +89,7 @@ class TestMinimumTransversals:
             tau, transversals = minimum_transversals(h)
             for t in transversals:
                 assert len(t) == tau
-                assert all(t & e for e in h.edges)
+                assert all(set(t) & e for e in h.edges)
 
     def test_minimality(self):
         rng = random.Random(42)
