@@ -304,7 +304,7 @@ def _cmd_oracle(args):
             return {"kind": "oracle-matchings", "j": args.j, "k": args.k,
                     "edge_sets": oracle.brute_j_intersecting(h, args.j, args.k)}
         return {"kind": "oracle-matchings", "k": args.k,
-                "edge_sets": oracle.brute_matchings(h, args.k)}
+                "edge_sets": oracle.brute_distinct_matchings(h, args.k)}
     tau, sets = oracle.brute_transversals(h)
     return {"tau": tau, "transversals": sets}
 

@@ -24,7 +24,7 @@ from typing import Iterable
 from .errors import BudgetError, ParseError
 
 # Largest vertex count n, and largest edge count m of an input, accepted.  Every
-# enumeration is exact and exponential in some size, and the walk matrices hold
+# enumeration is exact and exponential in some size, and the dense matrices hold
 # n * n entries, so larger inputs could only exhaust memory or time.  Graphs
 # derived from an input (complements, intersection graphs, added loops) may
 # carry more edges than this, but never more vertices than the input has

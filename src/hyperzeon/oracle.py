@@ -124,11 +124,16 @@ def brute_independent(h: Hypergraph, mode: str, size: int, k: int | None = None)
     Modes: 'weak' (contains no hyperedge), 'strong' (meets every edge at most
     once), 'k-independent' (meets every edge at most k times; requires k),
     'graph' (no 2-element edge inside; loops ignored), 'clique' and
-    'pairwise-adjacent' (every vertex pair shares an edge).
+    'pairwise-adjacent' (every vertex pair shares an edge).  The 'graph' and
+    'clique' modes reject an edge of more than two vertices.
     """
     _guard(h)
     if size < 0:
         raise ValueError(f"size must be >= 0, got {size}")
+    if mode in ("graph", "clique"):
+        for e in h.edges:
+            if len(e) > 2:
+                raise ValueError(f"not a graph: edge {sorted(e)} has more than two vertices")
 
     if mode == "weak":
         pred = lambda s: not any(e <= s for e in h.edges)
@@ -162,6 +167,16 @@ def brute_matchings(h: Hypergraph, k: int) -> list[tuple]:
         if all(not (a & b) for a, b in combinations(edges, 2)):
             hits.append(tuple(i + 1 for i in combo))
     return sorted(hits)
+
+
+def brute_distinct_matchings(h: Hypergraph, k: int) -> list[tuple]:
+    """brute_matchings on the inputs `matchings --k` answers: pairwise distinct edges only.
+
+    brute_matchings itself takes repeated edges as distinct ids.
+    """
+    if len(set(h.edges)) != h.m:
+        raise ValueError("matching enumeration requires pairwise distinct hyperedges")
+    return brute_matchings(h, k)
 
 
 def brute_j_intersecting(h: Hypergraph, j: int, k: int) -> list[tuple]:

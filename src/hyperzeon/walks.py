@@ -73,11 +73,11 @@ class AlgebraMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         sig = self.signature
-        rows = []
-        for row in self.entries:
-            accs = _row_times_matrix([x.packed for x in row], other)
-            rows.append([Element.from_packed(sig, acc) for acc in accs])
-        return AlgebraMatrix(sig, rows)
+        rows = [_sparse(row) for row in other.entries]
+        cols = range(other.cols)
+        return AlgebraMatrix(
+            sig, [_dense(sig, _row_times_matrix(sig, _sparse(row), rows), cols) for row in self.entries]
+        )
 
     def power(self, k: int) -> "AlgebraMatrix":
         if k < 0:
@@ -110,118 +110,114 @@ def trail_signature(h: Hypergraph) -> Signature:
     return Signature.idempotents(h.n, "ε") + Signature.zeons(h.m, "ζ")
 
 
-def _adjacency(h: Hypergraph, sig: Signature) -> AlgebraMatrix:
-    """(i, j) -> label of vertex j times the sum of labels of edges containing i and j."""
-    n = h.n
-    incident = [frozenset(h.incident_edges(v)) for v in range(1, n + 1)]
-    zero = sig.zero()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            shared = incident[i] & incident[j]
-            terms = [(((j, 1), (n + idx, 1)), 1) for idx in shared]
-            row.append(Element(sig, terms) if shared else zero)
-        rows.append(row)
-    return AlgebraMatrix(sig, rows)
+def _adjacency(h: Hypergraph, sig: Signature) -> list[dict]:
+    """Sparse rows: (i, j) -> label of vertex j times the sum of labels of edges containing i and j.
+
+    Filled edge by edge over each edge's vertex pairs, so only nonzero entries
+    are stored.
+    """
+    n, mask = h.n, sig.mask
+    rows = [{} for _ in range(n)]
+    for l, e in enumerate(h.edges):
+        ebit = mask((n + l,))
+        keys = [(v - 1, mask((v - 1,)) | ebit) for v in e]
+        for a, _ in keys:
+            row = rows[a]
+            for b, key in keys:
+                row.setdefault(b, {})[key] = 1
+    return rows
+
+
+def _block_rows(h: Hypergraph, sig: Signature) -> list[dict]:
+    """Sparse rows of [[0, X], [Z, 0]]: X holds edge labels (v, n+l), Z vertex labels (n+l, v)."""
+    n, mask = h.n, sig.mask
+    rows = [{} for _ in range(n + h.m)]
+    for l, e in enumerate(h.edges):
+        ebit = mask((n + l,))
+        for v in e:
+            rows[v - 1][n + l] = {ebit: 1}
+            rows[n + l][v - 1] = {mask((v - 1,)): 1}
+    return rows
+
+
+def _sparse(row) -> dict:
+    """A dense row of elements as {column: packed terms}, nonzero entries only."""
+    return {c: x.packed for c, x in enumerate(row) if x}
+
+
+def _dense(sig: Signature, row: dict, cols) -> list[Element]:
+    """The entries of a sparse row at the given columns, as elements."""
+    return [Element.from_packed(sig, row.get(c, {})) for c in cols]
 
 
 def build_omega(h: Hypergraph) -> AlgebraMatrix:
     """The n x n nilpotent adjacency matrix: (i, j) -> zeta_j * sum of shared edge labels."""
-    return _adjacency(h, walk_signature(h))
+    sig = walk_signature(h)
+    return AlgebraMatrix(sig, [_dense(sig, row, range(h.n)) for row in _adjacency(h, sig)])
 
 
 def build_trail_matrix(h: Hypergraph) -> AlgebraMatrix:
     """The trail matrix: same layout as Omega over the role-swapped signature."""
-    return _adjacency(h, trail_signature(h))
+    sig = trail_signature(h)
+    return AlgebraMatrix(sig, [_dense(sig, row, range(h.n)) for row in _adjacency(h, sig)])
 
 
 def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
     """The factor matrices X (n x m, idempotent edge labels) and Z (m x n, vertex labels)."""
     sig = walk_signature(h)
     n = h.n
-    X = [
-        [
-            sig.gen(n + l) if v in e else sig.zero()
-            for l, e in enumerate(h.edges)
-        ]
-        for v in range(1, h.n + 1)
-    ]
-    Z = [
-        [
-            sig.gen(j - 1) if j in e else sig.zero()
-            for j in range(1, h.n + 1)
-        ]
-        for e in h.edges
-    ]
+    rows = _block_rows(h, sig)
+    X = [_dense(sig, row, range(n, n + h.m)) for row in rows[:n]]
+    Z = [_dense(sig, row, range(n)) for row in rows[n:]]
     return AlgebraMatrix(sig, X), AlgebraMatrix(sig, Z)
 
 
 def build_bipartite(h: Hypergraph) -> AlgebraMatrix:
     """The (n+m) x (n+m) block matrix [[0, X], [Z, 0]]; its square is diag(XZ, ZX)."""
-    X, Z = build_blocks(h)
-    sig = X.signature
-    zero = sig.zero()
-    size = h.n + h.m
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            if i < h.n and j >= h.n:
-                row.append(X.entries[i][j - h.n])
-            elif i >= h.n and j < h.n:
-                row.append(Z.entries[i - h.n][j])
-            else:
-                row.append(zero)
-        rows.append(row)
-    return AlgebraMatrix(sig, rows)
+    sig = walk_signature(h)
+    cols = range(h.n + h.m)
+    return AlgebraMatrix(sig, [_dense(sig, row, cols) for row in _block_rows(h, sig)])
 
 
 # -- walk extraction --------------------------------------------------------------
 
 
-def _row_times_matrix(row, mat: AlgebraMatrix) -> list[dict]:
-    """A row of packed term mappings times the matrix: one dict per column, summed by mul_into."""
-    sig = mat.signature
-    accs = [{} for _ in range(mat.cols)]
-    for rv, mat_row in zip(row, mat.entries):
-        if rv:
-            for acc, b in zip(accs, mat_row):
-                if b:
-                    mul_into(sig, acc, rv, b.packed)
-    return accs
+def _row_times_matrix(sig: Signature, row: dict, rows: list[dict]) -> dict:
+    """A sparse row times the matrix of sparse ``rows``, summed by mul_into; nonzero entries only."""
+    out: dict = {}
+    for l, a in row.items():
+        for c, b in rows[l].items():
+            acc = out.get(c)
+            if acc is None:
+                out[c] = acc = {}
+            mul_into(sig, acc, a, b)
+    return {c: acc for c, acc in out.items() if acc}
 
 
-def _row_power(mat: AlgebraMatrix, i: int, k: int, start: Element | None, col: int) -> Element:
-    """Entry (i, col) of mat**k, with ``start`` multiplied into row i first when given.
+def _row_power(sig: Signature, rows: list[dict], i: int, k: int, start: int, col: int) -> dict:
+    """Packed terms of entry (i, col) of the k-th power of ``rows``, times the monomial ``start``.
 
-    Builds row i of mat**(k-1) as packed dicts, stopping once the row is all
-    zero (every later power's row is zero too), and multiplies it by column
-    ``col`` alone.
+    Starts from the one-entry row {i: start} and takes k-1 row x matrix
+    steps, stopping once the row is empty (every later power's row is empty
+    too), then multiplies the row by column ``col`` alone.  Ids are 0-based.
     """
-    sig = mat.signature
-    row = [x.packed for x in mat.entries[i - 1]]
-    if start is not None:
-        row = [mul_into(sig, {}, start.packed, x) for x in row]
-    if k == 1:
-        return Element.from_packed(sig, dict(row[col - 1]))
-    for _ in range(k - 2):
-        if not any(row):
+    row = {i: {start: 1}}
+    for _ in range(k - 1):
+        if not row:
             break
-        row = _row_times_matrix(row, mat)
+        row = _row_times_matrix(sig, row, rows)
     acc: dict = {}
-    for rv, mat_row in zip(row, mat.entries):
-        b = mat_row[col - 1]
-        if rv and b:
-            mul_into(sig, acc, rv, b.packed)
-    return Element.from_packed(sig, acc)
+    for l, a in row.items():
+        if col in rows[l]:
+            mul_into(sig, acc, a, rows[l][col])
+    return acc
 
 
-def _extract_records(element: Element, n: int) -> list[WalkRecord]:
+def _extract_records(sig: Signature, entry: dict, n: int) -> list[WalkRecord]:
     """One record per term, ordered by vertex ids, then edge ids."""
-    support = element.signature.support
+    support = sig.support
     records = []
-    for key, coeff in element.packed.items():
+    for key, coeff in entry.items():
         gids = support(key)  # ascending: vertex ids below n, edge ids from n
         split = bisect_left(gids, n)
         records.append(WalkRecord(
@@ -248,9 +244,9 @@ def k_paths(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
         raise ValueError("closed walks are cycles; use k_cycles")
     if k < 1:
         raise ValueError(f"paths need k >= 1, got {k}")
-    omega = build_omega(h)
-    entry = _row_power(omega, i, k, omega.signature.gen(i - 1), j)
-    records = _extract_records(entry, h.n)
+    sig = walk_signature(h)
+    entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i - 1,)), j - 1)
+    records = _extract_records(sig, entry, h.n)
     for r in records:
         if len(r.vertex_set) != k + 1 or i not in r.vertex_set or j not in r.vertex_set:
             raise InvariantError(f"path record {sorted(r.vertex_set)} for {i}->{j}, k={k}")
@@ -266,8 +262,9 @@ def k_cycles(h: Hypergraph, i: int, k: int) -> list[WalkRecord]:
     _check_vertex(h, i)
     if k < 2:
         raise ValueError(f"cycles need k >= 2, got {k}")
-    entry = _row_power(build_omega(h), i, k, None, i)
-    records = _extract_records(entry, h.n)
+    sig = walk_signature(h)
+    entry = _row_power(sig, _adjacency(h, sig), i - 1, k, 0, i - 1)
+    records = _extract_records(sig, entry, h.n)
     for r in records:
         if len(r.vertex_set) != k or i not in r.vertex_set:
             raise InvariantError(f"cycle record {sorted(r.vertex_set)} at {i}, k={k}")
@@ -285,9 +282,9 @@ def k_trails(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     _check_vertex(h, j)
     if k < 1:
         raise ValueError(f"trails need k >= 1, got {k}")
-    mat = build_trail_matrix(h)
-    entry = _row_power(mat, i, k, mat.signature.gen(i - 1), j)
-    records = _extract_records(entry, h.n)
+    sig = trail_signature(h)
+    entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i - 1,)), j - 1)
+    records = _extract_records(sig, entry, h.n)
     for r in records:
         if len(r.edge_set) != k or i not in r.vertex_set:
             raise InvariantError(f"trail record {sorted(r.edge_set)} from {i}, k={k}")

@@ -374,6 +374,17 @@ class TestOracleMirror:
         )
         assert fast["records"] == brute["records"]
 
+    @pytest.mark.parametrize("text, argv", [
+        ("3 1\n1 2 3\n", ["independent-sets", "--mode", "graph", "--size", "1"]),
+        ("2 2\n1 2\n1 2\n", ["matchings", "--k", "1"]),
+    ], ids=["graph-mode-wide-edge", "matchings-repeated-edge"])
+    def test_rejects_what_the_command_rejects(self, capsys, monkeypatch, text, argv):
+        for command in (argv, ["oracle", *argv]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            code, report, err = run(capsys, command)
+            assert (code, report) == (2, None)
+            assert err.startswith("input error:")
+
 
 # a 5-cycle with vertex 6 isolated (graph mode gives it a loop)
 GRAPH_TEXT = "6 5\n1 2\n2 3\n3 4\n4 5\n1 5\n"

@@ -90,6 +90,11 @@ class TestConventions:
         assert graph == [(1, 3)]
         with pytest.raises(ValueError):
             brute_independent(sample7, "nonsense", 2)
+        # graph modes reject a wide edge and ignore loops
+        for mode in ("graph", "clique"):
+            with pytest.raises(ValueError, match="not a graph"):
+                brute_independent(sample7, mode, 2)
+            assert brute_independent(Hypergraph(2, [{1}, {1, 2}]), mode, 1) == [(1,), (2,)]
 
 
 class TestBudget:

@@ -1,12 +1,13 @@
 """Nilpotent adjacency matrix and walk extraction."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from conftest import random_hypergraph, records_to_dict
 from hyperzeon.algebra import Element
-from hyperzeon.hypergraph import Hypergraph
+from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.oracle import brute_cycles, brute_paths, brute_trails
 from hyperzeon.walks import (
     AlgebraMatrix,
@@ -21,6 +22,10 @@ from hyperzeon.walks import (
     trail_signature,
     walk_signature,
 )
+
+
+# vertex 1 isolated, a singleton edge, a repeated edge and a 4-vertex edge
+EDGE_CASES = Hypergraph(6, [[2], [2, 3], [2, 3], [3, 4, 5, 6]])
 
 
 def blade_for(sig, h, vset, eset, coeff=1):
@@ -49,27 +54,29 @@ class TestOmega:
         assert omega[1][5] == sig.zero()
 
     def test_omega_is_xz(self, sample7):
-        x, z = build_blocks(sample7)
-        assert build_omega(sample7) == x * z
+        for h in (sample7, EDGE_CASES):
+            x, z = build_blocks(h)
+            assert build_omega(h) == x * z
 
     def test_bipartite_square_is_block_diagonal(self, sample7):
-        n, m = sample7.n, sample7.m
-        x, z = build_blocks(sample7)
-        sq = build_bipartite(sample7).power(2)
-        xz, zx = x * z, z * x
-        for a in range(n + m):
-            for b in range(n + m):
-                want = (
-                    xz[a][b]
-                    if a < n and b < n
-                    else zx[a - n][b - n]
-                    if a >= n and b >= n
-                    else None
-                )
-                if want is None:
-                    assert not sq[a][b]
-                else:
-                    assert sq[a][b] == want
+        for h in (sample7, EDGE_CASES):
+            n, m = h.n, h.m
+            x, z = build_blocks(h)
+            sq = build_bipartite(h).power(2)
+            xz, zx = x * z, z * x
+            for a in range(n + m):
+                for b in range(n + m):
+                    want = (
+                        xz[a][b]
+                        if a < n and b < n
+                        else zx[a - n][b - n]
+                        if a >= n and b >= n
+                        else None
+                    )
+                    if want is None:
+                        assert not sq[a][b]
+                    else:
+                        assert sq[a][b] == want
 
     def test_matrix_shape_validation(self, sample7):
         x, z = build_blocks(sample7)
@@ -127,9 +134,14 @@ class TestPaths:
     def test_contraction_matches_full_power(self, sample7):
         # each walk kind, read from its single entry, rebuilds that entry of
         # the full matrix power; on the path 1-2-3 no path or trail takes a
-        # third step, so at k = 4 and 5 their rows vanish before the column step
+        # third step, so at k = 4 and 5 their rows vanish before the column
+        # step; in EDGE_CASES the isolated vertex 1 has an empty row
         path3 = Hypergraph(3, [[1, 2], [2, 3]])
-        for h, pairs in ((sample7, [(3, 4), (1, 6), (2, 5)]), (path3, [(1, 3), (2, 1)])):
+        for h, pairs in (
+            (sample7, [(3, 4), (1, 6), (2, 5)]),
+            (path3, [(1, 3), (2, 1)]),
+            (EDGE_CASES, [(1, 2), (2, 3), (3, 6), (5, 4)]),
+        ):
             sig, tsig = walk_signature(h), trail_signature(h)
             omega, trail = build_omega(h), build_trail_matrix(h)
             for k in range(1, 6):
@@ -260,6 +272,26 @@ class TestTrails:
             j = rng.randint(1, h.n)
             k = rng.randint(1, 4)
             assert records_to_dict(k_trails(h, i, j, k)) == brute_trails(h, i, j, k)
+
+
+class TestSparseRows:
+    def test_max_size_path_graph_stays_small(self):
+        # a dense n x n walk matrix at n = MAX_SIZE would hold 10^6 entries
+        h = Hypergraph(MAX_SIZE, [[v, v + 1] for v in range(1, MAX_SIZE)])
+        path = [WalkRecord((1, 2, 3, 4), (1, 2, 3), 1)]
+        for walks, args, want in (
+            (k_paths, (1, 4, 3), path),
+            (k_trails, (1, 4, 3), path),
+            (k_cycles, (2, 2), [WalkRecord((1, 2), (1,), 1), WalkRecord((2, 3), (2,), 1)]),
+        ):
+            tracemalloc.start()
+            try:
+                got = walks(h, *args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak < 8 * 2**20
 
 
 class TestRecordType:
