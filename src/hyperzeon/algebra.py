@@ -125,7 +125,8 @@ class Signature:
         return len(self.caps)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Signature) and self.caps == other.caps
+        # identity first: the caps tuples of large signatures are long
+        return self is other or (isinstance(other, Signature) and self.caps == other.caps)
 
     def __hash__(self) -> int:
         return hash(self.caps)

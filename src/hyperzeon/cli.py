@@ -283,11 +283,20 @@ def _cmd_conjecture(args):
 
 
 def _cmd_oracle(args):
+    """The brute-force twin of a command; it rejects what that command rejects.
+
+    The checks are the oracle's own, apart from the kernel's; the library
+    ``brute_*`` functions stay lenient and answer k = 0 or i == j with nothing.
+    """
     from . import oracle
 
     h = _load(args)
     which = args.oracle_command
+    if which in ("paths", "trails") and args.k < 1:
+        raise ValueError(f"{which} need k >= 1, got {args.k}")
     if which == "paths":
+        if args.src == args.dst:
+            raise ValueError("closed walks are cycles; use oracle cycles")
         return {"kind": "oracle-paths", "from": args.src, "to": args.dst, "k": args.k,
                 "records": _oracle_records(oracle.brute_paths(h, args.src, args.dst, args.k))}
     if which == "cycles":
@@ -297,10 +306,19 @@ def _cmd_oracle(args):
         return {"kind": "oracle-trails", "from": args.src, "to": args.dst, "k": args.k,
                 "records": _oracle_records(oracle.brute_trails(h, args.src, args.dst, args.k))}
     if which == "independent-sets":
+        if args.size < 1:
+            raise ValueError(f"size must be >= 1, got {args.size}")
+        # the weak command strips isolated vertices; these two modes refuse them
+        if args.mode in ("strong", "k-independent") and h.isolated_vertices():
+            raise ValueError(f"isolated vertices {list(h.isolated_vertices())} in mode {args.mode}")
         return {"kind": "oracle-independent-sets", "mode": args.mode, "size": args.size,
                 "sets": oracle.brute_independent(h, args.mode, args.size, args.k)}
     if which == "matchings":
+        if args.k < 1:
+            raise ValueError(f"k must be >= 1, got {args.k}")
         if args.j is not None:
+            if args.j < 0:
+                raise ValueError(f"j must be >= 0, got {args.j}")
             return {"kind": "oracle-matchings", "j": args.j, "k": args.k,
                     "edge_sets": oracle.brute_j_intersecting(h, args.j, args.k)}
         return {"kind": "oracle-matchings", "k": args.k,

@@ -24,11 +24,11 @@ from typing import Iterable
 from .errors import BudgetError, ParseError
 
 # Largest vertex count n, and largest edge count m of an input, accepted.  Every
-# enumeration is exact and exponential in some size, and the dense matrices hold
-# n * n entries, so larger inputs could only exhaust memory or time.  Graphs
-# derived from an input (complements, intersection graphs, added loops) may
-# carry more edges than this, but never more vertices than the input has
-# vertices or edges, so only n is checked on construction.
+# enumeration is exact and exponential in some size, so larger inputs could only
+# exhaust memory or time.  Graphs derived from an input (complements,
+# intersection graphs, added loops) may carry more edges than this, but never
+# more vertices than the input has vertices or edges, so only n is checked on
+# construction.
 MAX_SIZE = 1000
 
 # Longest input text accepted, in characters.  The largest input within

@@ -31,38 +31,46 @@ class WalkRecord(NamedTuple):
 
 
 class AlgebraMatrix:
-    """Dense matrix of kernel elements sharing one signature."""
+    """Matrix of kernel elements sharing one signature, kept as sparse packed rows.
 
-    __slots__ = ("signature", "entries")
+    Row r is a dict {column: packed terms} over its nonzero entries only, so
+    a walk matrix takes space in proportion to its nonzero entries, not to
+    rows x cols.  ``m[r]`` builds row r's elements when it is read.
+    """
+
+    __slots__ = ("signature", "rows", "cols", "_packed")
 
     def __init__(self, signature: Signature, entries):
-        self.signature = signature
-        rows = tuple(tuple(row) for row in entries)
-        width = len(rows[0]) if rows else 0
-        for row in rows:
+        entries = [tuple(row) for row in entries]
+        width = len(entries[0]) if entries else 0
+        for row in entries:
             if len(row) != width:
                 raise ValueError("ragged matrix")
             for x in row:
                 if not isinstance(x, Element) or x.signature != signature:
                     raise ValueError("entries must be elements of the matrix signature")
-        self.entries = rows
+        self.signature, self.rows, self.cols = signature, len(entries), width
+        self._packed = [{c: dict(x.packed) for c, x in enumerate(row) if x} for row in entries]
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
+    @classmethod
+    def _from_rows(cls, signature: Signature, rows: list[dict], cols: int) -> "AlgebraMatrix":
+        """The matrix of sparse packed rows; it takes ownership of ``rows``."""
+        out = object.__new__(cls)
+        out.signature, out.rows, out.cols, out._packed = signature, len(rows), cols, rows
+        return out
 
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
+    def __getitem__(self, r: int) -> tuple[Element, ...]:
+        sig, row = self.signature, self._packed[r]
+        return tuple(Element.from_packed(sig, row.get(c, {})) for c in range(self.cols))
 
     def __eq__(self, other) -> bool:
+        # a product of signed entries can leave zero coefficients in a row;
+        # the row's elements drop them
         return (
             isinstance(other, AlgebraMatrix)
             and self.signature == other.signature
-            and self.entries == other.entries
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and all(self[r] == other[r] for r in range(self.rows))
         )
 
     def __mul__(self, other: "AlgebraMatrix") -> "AlgebraMatrix":
@@ -72,11 +80,9 @@ class AlgebraMatrix:
             raise ValueError("matrix signatures differ")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        sig = self.signature
-        rows = [_sparse(row) for row in other.entries]
-        cols = range(other.cols)
-        return AlgebraMatrix(
-            sig, [_dense(sig, _row_times_matrix(sig, _sparse(row), rows), cols) for row in self.entries]
+        sig, rows = self.signature, other._packed
+        return AlgebraMatrix._from_rows(
+            sig, [_row_times_matrix(sig, row, rows) for row in self._packed], other.cols
         )
 
     def power(self, k: int) -> "AlgebraMatrix":
@@ -85,12 +91,8 @@ class AlgebraMatrix:
         if k == 0:
             if self.rows != self.cols:
                 raise ValueError("power 0 requires a square matrix")
-            one, zero = self.signature.one(), self.signature.zero()
-            rows = [
-                [one if a == b else zero for b in range(self.cols)]
-                for a in range(self.rows)
-            ]
-            return AlgebraMatrix(self.signature, rows)
+            unit = [{r: {0: 1}} for r in range(self.rows)]
+            return AlgebraMatrix._from_rows(self.signature, unit, self.cols)
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -140,26 +142,16 @@ def _block_rows(h: Hypergraph, sig: Signature) -> list[dict]:
     return rows
 
 
-def _sparse(row) -> dict:
-    """A dense row of elements as {column: packed terms}, nonzero entries only."""
-    return {c: x.packed for c, x in enumerate(row) if x}
-
-
-def _dense(sig: Signature, row: dict, cols) -> list[Element]:
-    """The entries of a sparse row at the given columns, as elements."""
-    return [Element.from_packed(sig, row.get(c, {})) for c in cols]
-
-
 def build_omega(h: Hypergraph) -> AlgebraMatrix:
     """The n x n nilpotent adjacency matrix: (i, j) -> zeta_j * sum of shared edge labels."""
     sig = walk_signature(h)
-    return AlgebraMatrix(sig, [_dense(sig, row, range(h.n)) for row in _adjacency(h, sig)])
+    return AlgebraMatrix._from_rows(sig, _adjacency(h, sig), h.n)
 
 
 def build_trail_matrix(h: Hypergraph) -> AlgebraMatrix:
     """The trail matrix: same layout as Omega over the role-swapped signature."""
     sig = trail_signature(h)
-    return AlgebraMatrix(sig, [_dense(sig, row, range(h.n)) for row in _adjacency(h, sig)])
+    return AlgebraMatrix._from_rows(sig, _adjacency(h, sig), h.n)
 
 
 def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
@@ -167,16 +159,14 @@ def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
     sig = walk_signature(h)
     n = h.n
     rows = _block_rows(h, sig)
-    X = [_dense(sig, row, range(n, n + h.m)) for row in rows[:n]]
-    Z = [_dense(sig, row, range(n)) for row in rows[n:]]
-    return AlgebraMatrix(sig, X), AlgebraMatrix(sig, Z)
+    X = [{c - n: x for c, x in row.items()} for row in rows[:n]]
+    return AlgebraMatrix._from_rows(sig, X, h.m), AlgebraMatrix._from_rows(sig, rows[n:], n)
 
 
 def build_bipartite(h: Hypergraph) -> AlgebraMatrix:
     """The (n+m) x (n+m) block matrix [[0, X], [Z, 0]]; its square is diag(XZ, ZX)."""
     sig = walk_signature(h)
-    cols = range(h.n + h.m)
-    return AlgebraMatrix(sig, [_dense(sig, row, cols) for row in _block_rows(h, sig)])
+    return AlgebraMatrix._from_rows(sig, _block_rows(h, sig), h.n + h.m)
 
 
 # -- walk extraction --------------------------------------------------------------

@@ -352,6 +352,10 @@ class TestOutput:
         assert "Exception ignored" not in done.stderr
 
 
+# the path 1-2-3 with vertex 4 isolated
+PATH4_TEXT = "4 2\n1 2\n2 3\n"
+
+
 class TestOracleMirror:
     def test_matchings(self, capsys):
         code, report, _ = run(
@@ -377,12 +381,28 @@ class TestOracleMirror:
     @pytest.mark.parametrize("text, argv", [
         ("3 1\n1 2 3\n", ["independent-sets", "--mode", "graph", "--size", "1"]),
         ("2 2\n1 2\n1 2\n", ["matchings", "--k", "1"]),
-    ], ids=["graph-mode-wide-edge", "matchings-repeated-edge"])
+        (SAMPLE7_TEXT, ["paths", "--from", "1", "--to", "2", "--k", "0"]),
+        (SAMPLE7_TEXT, ["trails", "--from", "1", "--to", "2", "--k", "0"]),
+        (SAMPLE7_TEXT, ["paths", "--from", "1", "--to", "1", "--k", "2"]),
+        (SAMPLE7_TEXT, ["matchings", "--k", "0"]),
+        (SAMPLE7_TEXT, ["matchings", "--k", "0", "--j", "0"]),
+        (SAMPLE7_TEXT, ["matchings", "--k", "2", "--j", "-1"]),
+        *((PATH4_TEXT if mode == "graph" else SAMPLE7_TEXT,
+           ["independent-sets", "--mode", mode, "--size", "0", "--k", "1"])
+          for mode in ("graph", "weak", "strong", "k-independent", "pairwise-adjacent")),
+        (PATH4_TEXT, ["independent-sets", "--mode", "strong", "--size", "1"]),
+        (PATH4_TEXT, ["independent-sets", "--mode", "k-independent", "--size", "1", "--k", "1"]),
+    ], ids=[
+        "graph-mode-wide-edge", "matchings-repeated-edge", "paths-k0", "trails-k0",
+        "paths-closed", "matchings-k0", "matchings-k0-j0", "matchings-j-1", "graph-size0",
+        "weak-size0", "strong-size0", "k-independent-size0", "pairwise-adjacent-size0",
+        "strong-isolated", "k-independent-isolated",
+    ])
     def test_rejects_what_the_command_rejects(self, capsys, monkeypatch, text, argv):
         for command in (argv, ["oracle", *argv]):
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
             code, report, err = run(capsys, command)
-            assert (code, report) == (2, None)
+            assert (code, report) == (2, None), command
             assert err.startswith("input error:")
 
 

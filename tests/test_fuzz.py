@@ -144,6 +144,56 @@ def test_main_exits_with_a_documented_code(argv, data):
         assert out == ""
 
 
+@st.composite
+def twin_runs(draw):
+    """A hypergraph within the oracle's limits and a command that has an ``oracle`` twin.
+
+    n, m <= 6, with repeated edges, isolated vertices, one-vertex edges and
+    edges of more than two vertices all allowed; every int flag is drawn
+    from {-1, 0, 1, 2, 3, n+1}.
+    """
+    n = draw(st.integers(0, 6))
+    edges = [] if n == 0 else draw(
+        st.lists(st.sets(st.integers(1, n), min_size=1, max_size=n), max_size=6)
+    )
+    if edges and len(edges) < 6 and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(edges)))
+    text = f"{n} {len(edges)}\n" + "".join(" ".join(map(str, sorted(e))) + "\n" for e in edges)
+    values = st.sampled_from([-1, 0, 1, 2, 3, n + 1])
+    num = lambda: str(draw(values))  # noqa: E731
+    command = draw(st.sampled_from(
+        ["paths", "cycles", "trails", "independent-sets", "matchings", "transversals"]
+    ))
+    argv = [command]
+    if command in ("paths", "trails"):
+        argv += ["--from", num(), "--to", num(), "--k", num()]
+    elif command == "cycles":
+        argv += ["--at", num(), "--k", num()]
+    elif command == "independent-sets":
+        mode = draw(st.sampled_from(
+            ["graph", "weak", "strong", "k-independent", "pairwise-adjacent"]
+        ))
+        argv += ["--mode", mode, "--size", num()]
+        if draw(st.booleans()):
+            argv += ["--k", num()]
+    elif command == "matchings":
+        argv += ["--k", num()]
+        if draw(st.booleans()):
+            argv += ["--j", num()]
+    return argv, text.encode()
+
+
+@given(twin_runs())
+@settings(max_examples=300, deadline=None)
+def test_oracle_twin_exits_as_its_command_does(run):
+    argv, data = run
+    code, out, err = _run(argv, data)
+    twin_code, twin_out, twin_err = _run(["oracle", *argv], data)
+    assert code == twin_code, (argv, data, err, twin_err)
+    if code == 0 and argv[0] in ("paths", "cycles", "trails"):
+        assert json.loads(out)["records"] == json.loads(twin_out)["records"], (argv, data)
+
+
 @given(conjecture_argvs())
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]

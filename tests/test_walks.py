@@ -279,19 +279,27 @@ class TestSparseRows:
         # a dense n x n walk matrix at n = MAX_SIZE would hold 10^6 entries
         h = Hypergraph(MAX_SIZE, [[v, v + 1] for v in range(1, MAX_SIZE)])
         path = [WalkRecord((1, 2, 3, 4), (1, 2, 3), 1)]
-        for walks, args, want in (
+        for build, args, want in (
             (k_paths, (1, 4, 3), path),
             (k_trails, (1, 4, 3), path),
             (k_cycles, (2, 2), [WalkRecord((1, 2), (1,), 1), WalkRecord((2, 3), (2,), 1)]),
+            (build_omega, (), None),
+            (build_trail_matrix, (), None),
+            (build_blocks, (), None),
+            (build_bipartite, (), None),
         ):
             tracemalloc.start()
             try:
-                got = walks(h, *args)
+                got = build(h, *args)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert got == want
-            assert peak < 8 * 2**20
+            if want is not None:
+                assert got == want
+            assert peak < 8 * 2**20, build.__name__
+        # entry (1, 4) of Omega^3 is the one path 1-2-3-4, without its start label
+        sig = walk_signature(h)
+        assert build_omega(h).power(3)[0][3] == blade_for(sig, h, [2, 3, 4], [1, 2, 3])
 
 
 class TestRecordType:
