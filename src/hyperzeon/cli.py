@@ -283,10 +283,12 @@ def _cmd_conjecture(args):
 
 
 def _cmd_oracle(args):
-    """The brute-force twin of a command; it rejects what that command rejects.
+    """The brute-force twin of a command: it takes that command's flags and rejects what it rejects.
 
     The checks are the oracle's own, apart from the kernel's; the library
-    ``brute_*`` functions stay lenient and answer k = 0 or i == j with nothing.
+    ``brute_*`` functions stay lenient and answer k = 0 or i == j with nothing,
+    and count a repeated edge's copies as distinct edges.  ``--prune`` has no
+    effect here either.
     """
     from . import oracle
 
@@ -314,6 +316,13 @@ def _cmd_oracle(args):
         return {"kind": "oracle-independent-sets", "mode": args.mode, "size": args.size,
                 "sets": oracle.brute_independent(h, args.mode, args.size, args.k)}
     if which == "matchings":
+        if not args.perfect and args.k is None:
+            raise ValueError("--k is required unless --perfect is given")
+        # the kernel would merge repeated edges, so --perfect and --k alone refuse them
+        if (args.perfect or args.j is None) and len(set(h.edges)) != h.m:
+            raise ValueError("matching enumeration requires pairwise distinct hyperedges")
+        if args.perfect:
+            return {"kind": "oracle-matchings", "perfect": oracle.brute_perfect_matchings(h)}
         if args.k < 1:
             raise ValueError(f"k must be >= 1, got {args.k}")
         if args.j is not None:
@@ -322,62 +331,56 @@ def _cmd_oracle(args):
             return {"kind": "oracle-matchings", "j": args.j, "k": args.k,
                     "edge_sets": oracle.brute_j_intersecting(h, args.j, args.k)}
         return {"kind": "oracle-matchings", "k": args.k,
-                "edge_sets": oracle.brute_distinct_matchings(h, args.k)}
+                "edge_sets": oracle.brute_matchings(h, args.k)}
     tau, sets = oracle.brute_transversals(h)
     return {"tau": tau, "transversals": sets}
 
 
 # -- parser ------------------------------------------------------------------------
 
-
-def _add_input_flag(p):
+def _add_flags(p, command: str):
+    """Declare the flags of enumeration ``command`` on ``p``: the command's parser or its twin's."""
     p.add_argument("--file", help="hypergraph file (text or JSON); default: standard input")
+    if command in ("paths", "trails"):
+        p.add_argument("--from", dest="src", type=int, required=True)
+        p.add_argument("--to", dest="dst", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+    elif command == "cycles":
+        p.add_argument("--at", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+    elif command == "independent-sets":
+        p.add_argument("--mode", required=True,
+                       choices=["graph", "weak", "strong", "k-independent", "pairwise-adjacent"])
+        p.add_argument("--size", type=int, required=True)
+        p.add_argument("--k", type=int, help="intersection cap for mode k-independent")
+    elif command == "matchings":
+        p.add_argument("--k", type=int)
+        p.add_argument("--j", type=int)
+        p.add_argument("--perfect", action="store_true")
+    else:  # transversals
+        p.add_argument("--prune", action="store_true",
+                       help="no effect; accepted only until the benchmark stops passing it")
+
+
+# each enumeration command: its help line and handler; ``oracle`` has a twin of each
+_ENUMERATIONS = {
+    "paths": ("self-avoiding k-step walks between two vertices", _cmd_paths),
+    "cycles": ("closed k-step walks at a base vertex", _cmd_cycles),
+    "trails": ("edge-distinct k-step walks between two vertices", _cmd_trails),
+    "independent-sets": ("independent vertex sets of several flavors", _cmd_independent),
+    "matchings": ("k-matchings, j-intersecting matchings, perfect count", _cmd_matchings),
+    "transversals": ("minimum-cardinality transversals", _cmd_transversals),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hyperzeon", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("paths", help="self-avoiding k-step walks between two vertices")
-    _add_input_flag(p)
-    p.add_argument("--from", dest="src", type=int, required=True)
-    p.add_argument("--to", dest="dst", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_paths)
-
-    p = sub.add_parser("cycles", help="closed k-step walks at a base vertex")
-    _add_input_flag(p)
-    p.add_argument("--at", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_cycles)
-
-    p = sub.add_parser("trails", help="edge-distinct k-step walks between two vertices")
-    _add_input_flag(p)
-    p.add_argument("--from", dest="src", type=int, required=True)
-    p.add_argument("--to", dest="dst", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_trails)
-
-    p = sub.add_parser("independent-sets", help="independent vertex sets of several flavors")
-    _add_input_flag(p)
-    p.add_argument("--mode", required=True,
-                   choices=["graph", "weak", "strong", "k-independent", "pairwise-adjacent"])
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("--k", type=int, help="intersection cap for mode k-independent")
-    p.set_defaults(handler=_cmd_independent)
-
-    p = sub.add_parser("matchings", help="k-matchings, j-intersecting matchings, perfect count")
-    _add_input_flag(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--j", type=int)
-    p.add_argument("--perfect", action="store_true")
-    p.set_defaults(handler=_cmd_matchings)
-
-    p = sub.add_parser("transversals", help="minimum-cardinality transversals")
-    _add_input_flag(p)
-    p.add_argument("--prune", action="store_true",
-                   help="no effect; accepted only until the benchmark stops passing it")
-    p.set_defaults(handler=_cmd_transversals)
+    for name, (help_, handler) in _ENUMERATIONS.items():
+        p = sub.add_parser(name, help=help_)
+        _add_flags(p, name)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("conjecture", help="randomized conjecture harness")
     p.add_argument("which", choices=["ryser", "frankl"])
@@ -389,33 +392,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="brute-force cross-checks")
     osub = p.add_subparsers(dest="oracle_command", required=True, parser_class=_Parser)
-    for name in ("paths", "trails"):
+    for name in _ENUMERATIONS:
         q = osub.add_parser(name)
-        _add_input_flag(q)
-        q.add_argument("--from", dest="src", type=int, required=True)
-        q.add_argument("--to", dest="dst", type=int, required=True)
-        q.add_argument("--k", type=int, required=True)
+        _add_flags(q, name)
         q.set_defaults(handler=_cmd_oracle)
-    q = osub.add_parser("cycles")
-    _add_input_flag(q)
-    q.add_argument("--at", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.set_defaults(handler=_cmd_oracle)
-    q = osub.add_parser("independent-sets")
-    _add_input_flag(q)
-    q.add_argument("--mode", required=True,
-                   choices=["graph", "weak", "strong", "k-independent", "pairwise-adjacent"])
-    q.add_argument("--size", type=int, required=True)
-    q.add_argument("--k", type=int)
-    q.set_defaults(handler=_cmd_oracle)
-    q = osub.add_parser("matchings")
-    _add_input_flag(q)
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--j", type=int)
-    q.set_defaults(handler=_cmd_oracle)
-    q = osub.add_parser("transversals")
-    _add_input_flag(q)
-    q.set_defaults(handler=_cmd_oracle)
 
     return parser
 

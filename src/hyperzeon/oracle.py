@@ -169,16 +169,6 @@ def brute_matchings(h: Hypergraph, k: int) -> list[tuple]:
     return sorted(hits)
 
 
-def brute_distinct_matchings(h: Hypergraph, k: int) -> list[tuple]:
-    """brute_matchings on the inputs `matchings --k` answers: pairwise distinct edges only.
-
-    brute_matchings itself takes repeated edges as distinct ids.
-    """
-    if len(set(h.edges)) != h.m:
-        raise ValueError("matching enumeration requires pairwise distinct hyperedges")
-    return brute_matchings(h, k)
-
-
 def brute_j_intersecting(h: Hypergraph, j: int, k: int) -> list[tuple]:
     """All sets of k edges whose pairwise intersections have size <= j (1-based ids)."""
     _guard(h)

@@ -116,6 +116,9 @@ class TestStructureCommands:
         assert code == 0
         assert captured.out == f'{{\n  "kind": "matchings",\n  "perfect": {want}\n}}\n'
         assert captured.err == ""
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, report, _ = run(capsys, ["oracle", "matchings", "--perfect"])
+        assert (code, report["perfect"]) == (0, want)
 
     def test_weak_independent_sets(self, capsys):
         code, report, _ = run(
@@ -387,6 +390,9 @@ class TestOracleMirror:
         (SAMPLE7_TEXT, ["matchings", "--k", "0"]),
         (SAMPLE7_TEXT, ["matchings", "--k", "0", "--j", "0"]),
         (SAMPLE7_TEXT, ["matchings", "--k", "2", "--j", "-1"]),
+        (SAMPLE7_TEXT, ["matchings"]),
+        (SAMPLE7_TEXT, ["matchings", "--j", "0"]),
+        ("2 2\n1 2\n1 2\n", ["matchings", "--perfect"]),
         *((PATH4_TEXT if mode == "graph" else SAMPLE7_TEXT,
            ["independent-sets", "--mode", mode, "--size", "0", "--k", "1"])
           for mode in ("graph", "weak", "strong", "k-independent", "pairwise-adjacent")),
@@ -394,7 +400,8 @@ class TestOracleMirror:
         (PATH4_TEXT, ["independent-sets", "--mode", "k-independent", "--size", "1", "--k", "1"]),
     ], ids=[
         "graph-mode-wide-edge", "matchings-repeated-edge", "paths-k0", "trails-k0",
-        "paths-closed", "matchings-k0", "matchings-k0-j0", "matchings-j-1", "graph-size0",
+        "paths-closed", "matchings-k0", "matchings-k0-j0", "matchings-j-1", "matchings-no-k",
+        "matchings-j-no-k", "perfect-repeated-edge", "graph-size0",
         "weak-size0", "strong-size0", "k-independent-size0", "pairwise-adjacent-size0",
         "strong-isolated", "k-independent-isolated",
     ])
