@@ -8,7 +8,7 @@ from importlib import import_module
 
 _EXPORTS = {
     "algebra": (
-        "Element", "Signature", "annihilates", "monomial_ids", "nilpotency_index",
+        "Element", "Signature", "annihilates", "nilpotency_index",
     ),
     "conjectures": (
         "FranklReport", "RyserReport", "check_frankl", "check_ryser", "gamma_element",

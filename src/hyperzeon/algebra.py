@@ -30,7 +30,6 @@ Coeff = "int | Fraction"
 # The empty tuple is the unit.  Idempotent generators always carry exponent 1;
 # a nilpotent generator of index k carries an exponent in [1, k-1].
 Monomial = tuple
-UNIT: Monomial = ()
 
 
 class Signature:
@@ -513,11 +512,6 @@ class Element:
         return " ".join(pieces)
 
     __repr__ = __str__
-
-
-def monomial_ids(monomial: Monomial) -> tuple[int, ...]:
-    """Distinct generator ids present in a monomial."""
-    return tuple(g for g, _ in monomial)
 
 
 def nilpotency_index(u: Element, cap: int) -> int | None:

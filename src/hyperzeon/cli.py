@@ -159,43 +159,27 @@ def _encode_records(records: Records, nl: str, parts: list, out) -> None:
     parts.append(nl + "]")
 
 
-# -- report rows -------------------------------------------------------------------
+# -- subcommand handlers -----------------------------------------------------------
 
 _WALK_FIELDS = ("vertices", "edges", "count")
 
 
-def _oracle_records(counts: dict) -> Records:
-    rows = sorted((tuple(sorted(vs)), tuple(sorted(es)), c) for (vs, es), c in counts.items())
-    return Records(_WALK_FIELDS, rows)
+def _cmd_walks(args):
+    """``paths``, ``cycles`` or ``trails`` from the kernel, or from the oracle for a twin."""
+    twin = args.command == "oracle"
+    kind = args.oracle_command if twin else args.command
+    if twin:
+        from . import oracle
 
+        enumerator = getattr(oracle, f"brute_{kind}")
+    else:
+        from . import walks
 
-# -- subcommand handlers -----------------------------------------------------------
-
-
-def _cmd_paths(args):
-    from .walks import k_paths
-
+        enumerator = getattr(walks, f"k_{kind}")
     h = _load(args)
-    records = k_paths(h, args.src, args.dst, args.k)
-    return {"kind": "paths", "from": args.src, "to": args.dst, "k": args.k,
-            "records": Records(_WALK_FIELDS, records)}
-
-
-def _cmd_cycles(args):
-    from .walks import k_cycles
-
-    h = _load(args)
-    records = k_cycles(h, args.at, args.k)
-    return {"kind": "cycles", "at": args.at, "k": args.k,
-            "records": Records(_WALK_FIELDS, records)}
-
-
-def _cmd_trails(args):
-    from .walks import k_trails
-
-    h = _load(args)
-    records = k_trails(h, args.src, args.dst, args.k)
-    return {"kind": "trails", "from": args.src, "to": args.dst, "k": args.k,
+    ends = {"at": args.at} if kind == "cycles" else {"from": args.src, "to": args.dst}
+    records = enumerator(h, *ends.values(), args.k)
+    return {"kind": f"oracle-{kind}" if twin else kind, **ends, "k": args.k,
             "records": Records(_WALK_FIELDS, records)}
 
 
@@ -254,11 +238,8 @@ def _cmd_transversals(args):
     from .transversals import minimum_transversals
 
     h = _load(args)
-    isolated = sorted(h.isolated_vertices())
-    if h.m == 0:
-        return {"tau": 0, "transversals": [()], "removed_isolated": isolated}
     tau, sets = minimum_transversals(h)
-    return {"tau": tau, "transversals": sets, "removed_isolated": isolated}
+    return {"tau": tau, "transversals": sets, "removed_isolated": sorted(h.isolated_vertices())}
 
 
 def _cmd_conjecture(args):
@@ -283,30 +264,18 @@ def _cmd_conjecture(args):
 
 
 def _cmd_oracle(args):
-    """The brute-force twin of a command: it takes that command's flags and rejects what it rejects.
+    """The brute-force twin of a set command: it takes its flags and rejects what it rejects.
 
     The checks are the oracle's own, apart from the kernel's; the library
-    ``brute_*`` functions stay lenient and answer k = 0 or i == j with nothing,
-    and count a repeated edge's copies as distinct edges.  ``--prune`` has no
-    effect here either.
+    ``brute_*`` set functions stay lenient and answer k = 0 with nothing, and
+    count a repeated edge's copies as distinct edges.  ``--prune`` has no
+    effect here either.  The walk twins run :func:`_cmd_walks`, as their
+    commands do.
     """
     from . import oracle
 
     h = _load(args)
     which = args.oracle_command
-    if which in ("paths", "trails") and args.k < 1:
-        raise ValueError(f"{which} need k >= 1, got {args.k}")
-    if which == "paths":
-        if args.src == args.dst:
-            raise ValueError("closed walks are cycles; use oracle cycles")
-        return {"kind": "oracle-paths", "from": args.src, "to": args.dst, "k": args.k,
-                "records": _oracle_records(oracle.brute_paths(h, args.src, args.dst, args.k))}
-    if which == "cycles":
-        return {"kind": "oracle-cycles", "at": args.at, "k": args.k,
-                "records": _oracle_records(oracle.brute_cycles(h, args.at, args.k))}
-    if which == "trails":
-        return {"kind": "oracle-trails", "from": args.src, "to": args.dst, "k": args.k,
-                "records": _oracle_records(oracle.brute_trails(h, args.src, args.dst, args.k))}
     if which == "independent-sets":
         if args.size < 1:
             raise ValueError(f"size must be >= 1, got {args.size}")
@@ -364,9 +333,9 @@ def _add_flags(p, command: str):
 
 # each enumeration command: its help line and handler; ``oracle`` has a twin of each
 _ENUMERATIONS = {
-    "paths": ("self-avoiding k-step walks between two vertices", _cmd_paths),
-    "cycles": ("closed k-step walks at a base vertex", _cmd_cycles),
-    "trails": ("edge-distinct k-step walks between two vertices", _cmd_trails),
+    "paths": ("self-avoiding k-step walks between two vertices", _cmd_walks),
+    "cycles": ("closed k-step walks at a base vertex", _cmd_walks),
+    "trails": ("edge-distinct k-step walks between two vertices", _cmd_walks),
     "independent-sets": ("independent vertex sets of several flavors", _cmd_independent),
     "matchings": ("k-matchings, j-intersecting matchings, perfect count", _cmd_matchings),
     "transversals": ("minimum-cardinality transversals", _cmd_transversals),
@@ -392,10 +361,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("oracle", help="brute-force cross-checks")
     osub = p.add_subparsers(dest="oracle_command", required=True, parser_class=_Parser)
-    for name in _ENUMERATIONS:
+    for name, (_, handler) in _ENUMERATIONS.items():
         q = osub.add_parser(name)
         _add_flags(q, name)
-        q.set_defaults(handler=_cmd_oracle)
+        q.set_defaults(handler=_cmd_walks if handler is _cmd_walks else _cmd_oracle)
 
     return parser
 

@@ -103,10 +103,6 @@ class Hypergraph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def common_edges(self, u: int, v: int) -> tuple[int, ...]:
-        """0-based indices of the edges containing both u and v (u == v allowed)."""
-        return tuple(i for i, e in enumerate(self.edges) if u in e and v in e)
-
     def adjacent(self, u: int, v: int) -> bool:
         return any(u in e and v in e for e in self.edges)
 

@@ -37,12 +37,22 @@ def _check_vertex(h: Hypergraph, v: int):
 # -- walks ---------------------------------------------------------------------
 
 
-def brute_paths(h: Hypergraph, i: int, j: int, k: int) -> dict:
-    """Multiset of (vertex_set, edge_set) over all k-step vertex-distinct walks i -> j.
+def _walk_records(counts: Counter) -> list[tuple]:
+    """(ascending vertex ids, ascending edge ids, count) per (vertex set, edge set) key, sorted."""
+    return sorted((tuple(sorted(vs)), tuple(sorted(es)), c) for (vs, es), c in counts.items())
 
-    Edge ids are 1-based.  Keys are (frozenset, frozenset); values count the
-    distinct alternating sequences realizing them.
+
+def brute_paths(h: Hypergraph, i: int, j: int, k: int) -> list[tuple]:
+    """Every k-step vertex-distinct walk i -> j, counted per (vertex set, edge set).
+
+    Edge ids are 1-based.  Each record is (vertex ids, edge ids, count), both
+    ascending, and the count is the number of distinct alternating sequences
+    realizing the two sets.
     """
+    if k < 1:
+        raise ValueError(f"paths need k >= 1, got {k}")
+    if i == j:
+        raise ValueError("closed walks are cycles; use brute_cycles")
     _guard(h)
     _check_vertex(h, i)
     _check_vertex(h, j)
@@ -59,13 +69,12 @@ def brute_paths(h: Hypergraph, i: int, j: int, k: int) -> dict:
                     if w not in visited:
                         dfs(w, visited | {w}, edges_used + (idx + 1,), steps + 1)
 
-    if k >= 1 and i != j:
-        dfs(i, {i}, (), 0)
-    return dict(counts)
+    dfs(i, {i}, (), 0)
+    return _walk_records(counts)
 
 
-def brute_cycles(h: Hypergraph, i: int, k: int) -> dict:
-    """Multiset of (vertex_set, edge_set) over closed k-step walks at i with distinct interior."""
+def brute_cycles(h: Hypergraph, i: int, k: int) -> list[tuple]:
+    """Closed k-step walks at i with distinct interior, as :func:`brute_paths` records."""
     _guard(h)
     _check_vertex(h, i)
     if k < 2:
@@ -86,15 +95,17 @@ def brute_cycles(h: Hypergraph, i: int, k: int) -> dict:
                         dfs(w, interior | {w}, edges_used + (idx + 1,), steps + 1)
 
     dfs(i, frozenset(), (), 0)
-    return dict(counts)
+    return _walk_records(counts)
 
 
-def brute_trails(h: Hypergraph, i: int, j: int, k: int) -> dict:
-    """Multiset of (vertex_set, edge_set) over k-step edge-distinct walks i -> j.
+def brute_trails(h: Hypergraph, i: int, j: int, k: int) -> list[tuple]:
+    """k-step edge-distinct walks i -> j, as :func:`brute_paths` records.
 
     Vertices may repeat; a step may stay at the same vertex provided it spends
-    an unused incident edge.  The start vertex is part of every vertex_set.
+    an unused incident edge.  The start vertex is part of every vertex set.
     """
+    if k < 1:
+        raise ValueError(f"trails need k >= 1, got {k}")
     _guard(h)
     _check_vertex(h, i)
     _check_vertex(h, j)
@@ -110,9 +121,8 @@ def brute_trails(h: Hypergraph, i: int, j: int, k: int) -> dict:
                 for w in e:
                     dfs(w, vset | {w}, used | {idx + 1}, steps + 1)
 
-    if k >= 1:
-        dfs(i, {i}, frozenset(), 0)
-    return dict(counts)
+    dfs(i, {i}, frozenset(), 0)
+    return _walk_records(counts)
 
 
 # -- vertex subset structures ---------------------------------------------------

@@ -37,10 +37,11 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
     Forms the products of j-subsets of the vertex factors, level by level,
     until one carries the full edge blade.  At that first level every
     full-blade vertex set has size exactly j: a smaller one would have covered
-    every edge at a lower level.
+    every edge at a lower level.  An edgeless hypergraph has the one
+    transversal (), of size 0.
     """
-    if h.m < 1:
-        raise ValueError("transversal search needs at least one edge")
+    if h.m == 0:
+        return 0, [()]
     rep = transversal_representation(h)
     sig = rep.element.signature
     full_edges = sig.mask(range(h.m))
@@ -53,4 +54,4 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
 
 
 def transversal_number(h: Hypergraph) -> int:
-    return 0 if h.m == 0 else minimum_transversals(h)[0]
+    return minimum_transversals(h)[0]

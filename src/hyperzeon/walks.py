@@ -40,24 +40,9 @@ class AlgebraMatrix:
 
     __slots__ = ("signature", "rows", "cols", "_packed")
 
-    def __init__(self, signature: Signature, entries):
-        entries = [tuple(row) for row in entries]
-        width = len(entries[0]) if entries else 0
-        for row in entries:
-            if len(row) != width:
-                raise ValueError("ragged matrix")
-            for x in row:
-                if not isinstance(x, Element) or x.signature != signature:
-                    raise ValueError("entries must be elements of the matrix signature")
-        self.signature, self.rows, self.cols = signature, len(entries), width
-        self._packed = [{c: dict(x.packed) for c, x in enumerate(row) if x} for row in entries]
-
-    @classmethod
-    def _from_rows(cls, signature: Signature, rows: list[dict], cols: int) -> "AlgebraMatrix":
-        """The matrix of sparse packed rows; it takes ownership of ``rows``."""
-        out = object.__new__(cls)
-        out.signature, out.rows, out.cols, out._packed = signature, len(rows), cols, rows
-        return out
+    def __init__(self, signature: Signature, rows: list[dict], cols: int):
+        """The matrix of sparse packed ``rows``; it takes ownership of ``rows``."""
+        self.signature, self.rows, self.cols, self._packed = signature, len(rows), cols, rows
 
     def __getitem__(self, r: int) -> tuple[Element, ...]:
         sig, row = self.signature, self._packed[r]
@@ -81,7 +66,7 @@ class AlgebraMatrix:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         sig, rows = self.signature, other._packed
-        return AlgebraMatrix._from_rows(
+        return AlgebraMatrix(
             sig, [_row_times_matrix(sig, row, rows) for row in self._packed], other.cols
         )
 
@@ -92,7 +77,7 @@ class AlgebraMatrix:
             if self.rows != self.cols:
                 raise ValueError("power 0 requires a square matrix")
             unit = [{r: {0: 1}} for r in range(self.rows)]
-            return AlgebraMatrix._from_rows(self.signature, unit, self.cols)
+            return AlgebraMatrix(self.signature, unit, self.cols)
         out = self
         for _ in range(k - 1):
             out = out * self
@@ -145,13 +130,13 @@ def _block_rows(h: Hypergraph, sig: Signature) -> list[dict]:
 def build_omega(h: Hypergraph) -> AlgebraMatrix:
     """The n x n nilpotent adjacency matrix: (i, j) -> zeta_j * sum of shared edge labels."""
     sig = walk_signature(h)
-    return AlgebraMatrix._from_rows(sig, _adjacency(h, sig), h.n)
+    return AlgebraMatrix(sig, _adjacency(h, sig), h.n)
 
 
 def build_trail_matrix(h: Hypergraph) -> AlgebraMatrix:
     """The trail matrix: same layout as Omega over the role-swapped signature."""
     sig = trail_signature(h)
-    return AlgebraMatrix._from_rows(sig, _adjacency(h, sig), h.n)
+    return AlgebraMatrix(sig, _adjacency(h, sig), h.n)
 
 
 def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
@@ -160,13 +145,13 @@ def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
     n = h.n
     rows = _block_rows(h, sig)
     X = [{c - n: x for c, x in row.items()} for row in rows[:n]]
-    return AlgebraMatrix._from_rows(sig, X, h.m), AlgebraMatrix._from_rows(sig, rows[n:], n)
+    return AlgebraMatrix(sig, X, h.m), AlgebraMatrix(sig, rows[n:], n)
 
 
 def build_bipartite(h: Hypergraph) -> AlgebraMatrix:
     """The (n+m) x (n+m) block matrix [[0, X], [Z, 0]]; its square is diag(XZ, ZX)."""
     sig = walk_signature(h)
-    return AlgebraMatrix._from_rows(sig, _block_rows(h, sig), h.n + h.m)
+    return AlgebraMatrix(sig, _block_rows(h, sig), h.n + h.m)
 
 
 # -- walk extraction --------------------------------------------------------------

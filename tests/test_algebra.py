@@ -13,7 +13,6 @@ from hyperzeon.algebra import (
     Element,
     Signature,
     annihilates,
-    monomial_ids,
     mul_into,
     nilpotency_index,
 )
@@ -220,9 +219,6 @@ class TestStructureQueries:
         mixed = Signature.zeons(1) + Signature.idempotents(1)
         with pytest.raises(ValueError):
             annihilates([1], mixed.gen(0))
-
-    def test_monomial_ids(self):
-        assert monomial_ids(((0, 1), (4, 2))) == (0, 4)
 
 
 class TestSignatures:

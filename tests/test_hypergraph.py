@@ -92,8 +92,6 @@ class TestQueries:
         assert [sample7.degree(v) for v in range(1, 8)] == [3, 1, 2, 3, 2, 3, 1]
 
     def test_common_edges_and_adjacency(self, sample7):
-        assert sample7.common_edges(1, 4) == (1, 2)
-        assert sample7.common_edges(2, 6) == ()
         assert sample7.adjacent(3, 6)
         assert not sample7.adjacent(2, 6)
         # literal containment reading: any edge through v contains "both" v and v

@@ -19,14 +19,13 @@ from hyperzeon.oracle import (
 
 class TestGoldens:
     def test_sample7_paths(self, sample7):
-        got = brute_paths(sample7, 3, 4, 3)
-        assert got == {
-            (frozenset({1, 2, 3, 4}), frozenset({1, 2})): 1,
-            (frozenset({1, 2, 3, 4}), frozenset({1, 3})): 1,
-            (frozenset({1, 3, 4, 5}), frozenset({1, 3})): 1,
-            (frozenset({1, 3, 4, 7}), frozenset({1, 2})): 1,
-            (frozenset({3, 4, 5, 6}), frozenset({3, 4, 6})): 1,
-        }
+        assert brute_paths(sample7, 3, 4, 3) == [
+            ((1, 2, 3, 4), (1, 2), 1),
+            ((1, 2, 3, 4), (1, 3), 1),
+            ((1, 3, 4, 5), (1, 3), 1),
+            ((1, 3, 4, 7), (1, 2), 1),
+            ((3, 4, 5, 6), (3, 4, 6), 1),
+        ]
 
     def test_sample7_transversals(self, sample7):
         assert brute_transversals(sample7) == (2, [(1, 6)])
@@ -40,20 +39,27 @@ class TestGoldens:
 
 
 class TestConventions:
+    # the walk functions raise where their kernel twins raise
     def test_paths_k0_empty(self, sample7):
-        assert brute_paths(sample7, 3, 4, 0) == {}
+        with pytest.raises(ValueError):
+            brute_paths(sample7, 3, 4, 0)
 
     def test_paths_same_endpoints_empty(self, sample7):
-        assert brute_paths(sample7, 3, 3, 2) == {}
+        with pytest.raises(ValueError):
+            brute_paths(sample7, 3, 3, 2)
+
+    def test_trails_k0_rejected(self, sample7):
+        with pytest.raises(ValueError):
+            brute_trails(sample7, 3, 4, 0)
 
     def test_paths_disconnected_empty(self):
         h = Hypergraph(4, [{1, 2}, {3, 4}])
-        assert brute_paths(h, 1, 3, 1) == {}
-        assert brute_paths(h, 1, 3, 3) == {}
+        assert brute_paths(h, 1, 3, 1) == []
+        assert brute_paths(h, 1, 3, 3) == []
 
     def test_single_edge_out_and_back_cycle(self):
         h = Hypergraph(2, [{1, 2}])
-        assert brute_cycles(h, 1, 2) == {(frozenset({1, 2}), frozenset({1})): 1}
+        assert brute_cycles(h, 1, 2) == [((1, 2), (1,), 1)]
 
     def test_cycles_need_two_steps(self, sample7):
         with pytest.raises(ValueError):
@@ -61,13 +67,13 @@ class TestConventions:
 
     def test_stationary_trail(self):
         h = Hypergraph(2, [{1, 2}])
-        assert brute_trails(h, 1, 1, 1) == {(frozenset({1}), frozenset({1})): 1}
+        assert brute_trails(h, 1, 1, 1) == [((1,), (1,), 1)]
 
     def test_trail_repeats_vertices_not_edges(self):
         # triangle of 2-edges: a 3-trail can revisit a vertex
         h = Hypergraph(3, [{1, 2}, {2, 3}, {1, 3}])
         got = brute_trails(h, 1, 1, 3)
-        assert (frozenset({1, 2, 3}), frozenset({1, 2, 3})) in got
+        assert ((1, 2, 3), (1, 2, 3)) in [(vs, es) for vs, es, _ in got]
 
     def test_matching_utilities(self, sample7):
         assert brute_max_matching_size(sample7) == 2
