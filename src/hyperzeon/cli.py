@@ -184,58 +184,83 @@ def _cmd_walks(args):
 
 
 def _cmd_independent(args):
-    from . import independent_sets as ind
+    """``independent-sets`` from the kernel, or from the oracle for a twin."""
+    twin = args.command == "oracle"
+    mode, size = args.mode, args.size
+    if twin:
+        from . import oracle
 
+        def sets_of(h):
+            return oracle.brute_independent(h, mode, size, args.k)
+    else:
+        from . import independent_sets as ind
+
+        def sets_of(h):
+            if mode == "k-independent":
+                return ind.k_independent_sets(h, size, args.k)
+            return {"graph": ind.graph_independent_sets, "weak": ind.weak_independent_sets,
+                    "strong": ind.strong_independent_sets,
+                    "pairwise-adjacent": ind.pairwise_adjacent_sets}[mode](h, size)
     h = _load(args)
-    mode = args.mode
-    report = {"kind": "independent-sets", "mode": mode, "size": args.size}
-    if mode == "graph":
-        report["sets"] = ind.graph_independent_sets(h, args.size)
-    elif mode == "weak":
-        isolated = h.isolated_vertices()
-        back = {v: v for v in range(1, h.n + 1)}
-        if isolated:
-            # the representation has no label for an edgeless vertex; strip and
-            # report them (each joins any weak independent set freely)
-            print(f"warning: stripping isolated vertices {sorted(isolated)}", file=sys.stderr)
-            keep = [v for v in range(1, h.n + 1) if v not in isolated]
-            relabel = {v: i + 1 for i, v in enumerate(keep)}
-            back = {i + 1: v for i, v in enumerate(keep)}
-            h = hg.Hypergraph(len(keep), [[relabel[v] for v in e] for e in h.edges])
-        # back is increasing, so each mapped set stays ascending
-        sets = [tuple(back[v] for v in s) for s in ind.weak_independent_sets(h, args.size)]
-        report["by_size"] = {str(args.size): sets} if sets else {}
-        report["complete_size"] = args.size
-        report["removed_isolated"] = sorted(isolated)
-    elif mode == "strong":
-        report["sets"] = ind.strong_independent_sets(h, args.size)
-    elif mode == "k-independent":
+    report = {"kind": "oracle-independent-sets" if twin else "independent-sets",
+              "mode": mode, "size": size}
+    if mode == "k-independent":
         if args.k is None:
             raise ValueError("--k is required for mode k-independent")
         report["k"] = args.k
-        report["sets"] = ind.k_independent_sets(h, args.size, args.k)
-    else:  # pairwise-adjacent
-        report["sets"] = ind.pairwise_adjacent_sets(h, args.size)
+    if mode != "weak":
+        report["sets"] = sets_of(h)
+        return report
+    isolated = h.isolated_vertices()
+    back = {v: v for v in range(1, h.n + 1)}
+    if isolated:
+        # the representation has no label for an edgeless vertex; strip and
+        # report them (each joins any weak independent set freely)
+        print(f"warning: stripping isolated vertices {sorted(isolated)}", file=sys.stderr)
+        keep = [v for v in range(1, h.n + 1) if v not in isolated]
+        relabel = {v: i + 1 for i, v in enumerate(keep)}
+        back = {i + 1: v for i, v in enumerate(keep)}
+        h = hg.Hypergraph(len(keep), [[relabel[v] for v in e] for e in h.edges])
+    # back is increasing, so each mapped set stays ascending
+    sets = [tuple(back[v] for v in s) for s in sets_of(h)]
+    if twin:  # pinned: the benchmark's weak companion reads the twin's "sets"
+        return {**report, "sets": sets}
+    report["by_size"] = {str(size): sets} if sets else {}
+    report["complete_size"] = size
+    report["removed_isolated"] = sorted(isolated)
     return report
 
 
 def _cmd_matchings(args):
-    from .matchings import j_intersecting_matchings, k_matchings, perfect_matching_count
+    """``matchings`` from the kernel, or from the oracle for a twin."""
+    twin = args.command == "oracle"
+    if twin:
+        from .oracle import (brute_j_intersecting as j_sets, brute_matchings as k_sets,
+                             brute_perfect_matchings as perfect)
+    else:
+        from .matchings import (j_intersecting_matchings as j_sets, k_matchings as k_sets,
+                                perfect_matching_count as perfect)
 
     h = _load(args)
+    kind = "oracle-matchings" if twin else "matchings"
     if args.perfect:
-        return {"kind": "matchings", "perfect": perfect_matching_count(h)}
+        return {"kind": kind, "perfect": perfect(h)}
     if args.k is None:
         raise ValueError("--k is required unless --perfect is given")
     if args.j is not None:
-        return {"kind": "matchings", "j": args.j, "k": args.k,
-                "edge_sets": j_intersecting_matchings(h, args.j, args.k)}
-    return {"kind": "matchings", "k": args.k,
-            "records": Records(("vertices", "count"), k_matchings(h, args.k))}
+        return {"kind": kind, "j": args.j, "k": args.k, "edge_sets": j_sets(h, args.j, args.k)}
+    if twin:  # pinned: the benchmark's matchings companions read the twin's "edge_sets"
+        return {"kind": kind, "k": args.k, "edge_sets": k_sets(h, args.k)}
+    return {"kind": kind, "k": args.k,
+            "records": Records(("vertices", "count"), k_sets(h, args.k))}
 
 
 def _cmd_transversals(args):
-    from .transversals import minimum_transversals
+    """``transversals`` from the kernel, or from the oracle for a twin."""
+    if args.command == "oracle":
+        from .oracle import brute_transversals as minimum_transversals
+    else:
+        from .transversals import minimum_transversals
 
     h = _load(args)
     tau, sets = minimum_transversals(h)
@@ -261,48 +286,6 @@ def _cmd_conjecture(args):
     if summary["violations"]:
         print(f"warning: {summary['violations']} violations appended to {log}", file=sys.stderr)
     return summary
-
-
-def _cmd_oracle(args):
-    """The brute-force twin of a set command: it takes its flags and rejects what it rejects.
-
-    The checks are the oracle's own, apart from the kernel's; the library
-    ``brute_*`` set functions stay lenient and answer k = 0 with nothing, and
-    count a repeated edge's copies as distinct edges.  ``--prune`` has no
-    effect here either.  The walk twins run :func:`_cmd_walks`, as their
-    commands do.
-    """
-    from . import oracle
-
-    h = _load(args)
-    which = args.oracle_command
-    if which == "independent-sets":
-        if args.size < 1:
-            raise ValueError(f"size must be >= 1, got {args.size}")
-        # the weak command strips isolated vertices; these two modes refuse them
-        if args.mode in ("strong", "k-independent") and h.isolated_vertices():
-            raise ValueError(f"isolated vertices {list(h.isolated_vertices())} in mode {args.mode}")
-        return {"kind": "oracle-independent-sets", "mode": args.mode, "size": args.size,
-                "sets": oracle.brute_independent(h, args.mode, args.size, args.k)}
-    if which == "matchings":
-        if not args.perfect and args.k is None:
-            raise ValueError("--k is required unless --perfect is given")
-        # the kernel would merge repeated edges, so --perfect and --k alone refuse them
-        if (args.perfect or args.j is None) and len(set(h.edges)) != h.m:
-            raise ValueError("matching enumeration requires pairwise distinct hyperedges")
-        if args.perfect:
-            return {"kind": "oracle-matchings", "perfect": oracle.brute_perfect_matchings(h)}
-        if args.k < 1:
-            raise ValueError(f"k must be >= 1, got {args.k}")
-        if args.j is not None:
-            if args.j < 0:
-                raise ValueError(f"j must be >= 0, got {args.j}")
-            return {"kind": "oracle-matchings", "j": args.j, "k": args.k,
-                    "edge_sets": oracle.brute_j_intersecting(h, args.j, args.k)}
-        return {"kind": "oracle-matchings", "k": args.k,
-                "edge_sets": oracle.brute_matchings(h, args.k)}
-    tau, sets = oracle.brute_transversals(h)
-    return {"tau": tau, "transversals": sets}
 
 
 # -- parser ------------------------------------------------------------------------
@@ -364,7 +347,7 @@ def build_parser() -> _Parser:
     for name, (_, handler) in _ENUMERATIONS.items():
         q = osub.add_parser(name)
         _add_flags(q, name)
-        q.set_defaults(handler=_cmd_walks if handler is _cmd_walks else _cmd_oracle)
+        q.set_defaults(handler=handler)
 
     return parser
 

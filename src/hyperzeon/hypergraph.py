@@ -135,10 +135,6 @@ class Hypergraph:
             return False
         return all(all(len(e & p) <= 1 for p in parts) for e in self.edges)
 
-    def incidence_matrix(self) -> list[list[int]]:
-        """n x m 0/1 matrix; entry (i, j) is 1 when vertex i+1 lies in edge j."""
-        return [[1 if v in e else 0 for e in self.edges] for v in range(1, self.n + 1)]
-
     def is_union_closed(self) -> bool:
         """True when the union of any two edges is again an edge."""
         present = set(self.edges)

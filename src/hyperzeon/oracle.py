@@ -134,16 +134,20 @@ def brute_independent(h: Hypergraph, mode: str, size: int, k: int | None = None)
     Modes: 'weak' (contains no hyperedge), 'strong' (meets every edge at most
     once), 'k-independent' (meets every edge at most k times; requires k),
     'graph' (no 2-element edge inside; loops ignored), 'clique' and
-    'pairwise-adjacent' (every vertex pair shares an edge).  The 'graph' and
-    'clique' modes reject an edge of more than two vertices.
+    'pairwise-adjacent' (every vertex pair shares an edge).  Rejected as the
+    kernel rejects them: a size below 1, an edge of more than two vertices in
+    the 'graph' and 'clique' modes, and an isolated vertex in the 'strong' and
+    'k-independent' modes.  'weak' lets an isolated vertex join any set.
     """
     _guard(h)
-    if size < 0:
-        raise ValueError(f"size must be >= 0, got {size}")
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     if mode in ("graph", "clique"):
         for e in h.edges:
             if len(e) > 2:
                 raise ValueError(f"not a graph: edge {sorted(e)} has more than two vertices")
+    if mode in ("strong", "k-independent") and h.isolated_vertices():
+        raise ValueError(f"isolated vertices {list(h.isolated_vertices())} in mode {mode}")
 
     if mode == "weak":
         pred = lambda s: not any(e <= s for e in h.edges)
@@ -166,22 +170,31 @@ def brute_independent(h: Hypergraph, mode: str, size: int, k: int | None = None)
     return sorted(hits)
 
 
+def _check_distinct_edges(h: Hypergraph):
+    # the kernel would merge repeated edges into one blade, so it refuses them
+    if len(set(h.edges)) != h.m:
+        raise ValueError("matching enumeration requires pairwise distinct hyperedges")
+
+
 def brute_matchings(h: Hypergraph, k: int) -> list[tuple]:
-    """All sets of k pairwise-disjoint edges, as ascending tuples of 1-based edge ids."""
+    """All sets of k pairwise-disjoint edges, as ascending tuples of 1-based edge ids.
+
+    Disjoint edges meet in at most 0 vertices; repeated edges are refused.
+    """
     _guard(h)
-    if k > h.m:
-        return []  # as in brute_independent
-    hits = []
-    for combo in combinations(range(h.m), k):
-        edges = [h.edges[i] for i in combo]
-        if all(not (a & b) for a, b in combinations(edges, 2)):
-            hits.append(tuple(i + 1 for i in combo))
-    return sorted(hits)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    _check_distinct_edges(h)
+    return brute_j_intersecting(h, 0, k)
 
 
 def brute_j_intersecting(h: Hypergraph, j: int, k: int) -> list[tuple]:
     """All sets of k edges whose pairwise intersections have size <= j (1-based ids)."""
     _guard(h)
+    if j < 0:
+        raise ValueError(f"j must be >= 0, got {j}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if k > h.m:
         return []  # as in brute_independent
     hits = []
@@ -193,16 +206,18 @@ def brute_j_intersecting(h: Hypergraph, j: int, k: int) -> list[tuple]:
 
 
 def brute_max_matching_size(h: Hypergraph) -> int:
+    """The most pairwise-disjoint edges; a repeated edge's copies count as distinct edges."""
     _guard(h)
     for k in range(h.m, 0, -1):
-        if brute_matchings(h, k):
+        if brute_j_intersecting(h, 0, k):
             return k
     return 0
 
 
 def brute_perfect_matchings(h: Hypergraph) -> int:
-    """Number of pairwise-disjoint edge families covering every vertex."""
+    """Number of pairwise-disjoint edge families covering every vertex; refuses repeated edges."""
     _guard(h)
+    _check_distinct_edges(h)
     count = 0
     for k in range(h.m + 1):
         for combo in combinations(range(h.m), k):

@@ -120,16 +120,6 @@ class TestQueries:
         assert not h.is_r_partite(3, [{1, 2}, {3, 4}, {5}])
         assert not h.is_r_partite(3, [{1, 2}, {2, 3, 4}, {5, 6}])
 
-    def test_incidence_matrix(self, sample7):
-        mat = sample7.incidence_matrix()
-        assert len(mat) == 7 and all(len(row) == 6 for row in mat)
-        assert mat[0] == [1, 1, 1, 0, 0, 0]
-        assert mat[5] == [0, 0, 0, 1, 1, 1]
-        for v in range(1, 8):
-            assert sum(mat[v - 1]) == sample7.degree(v)
-        for idx, edge in enumerate(sample7.edges):
-            assert sum(row[idx] for row in mat) == len(edge)
-
     def test_union_closed(self):
         assert Hypergraph(2, [{1}, {2}, {1, 2}]).is_union_closed()
         assert not Hypergraph(2, [{1}, {2}]).is_union_closed()

@@ -4,6 +4,14 @@ import pytest
 
 from hyperzeon.errors import BudgetError
 from hyperzeon.hypergraph import Hypergraph
+from hyperzeon.independent_sets import (
+    graph_independent_sets,
+    k_independent_sets,
+    pairwise_adjacent_sets,
+    strong_independent_sets,
+    weak_independent_sets,
+)
+from hyperzeon.matchings import j_intersecting_matchings, k_matchings, perfect_matching_count
 from hyperzeon.oracle import (
     brute_cycles,
     brute_independent,
@@ -101,6 +109,45 @@ class TestConventions:
             with pytest.raises(ValueError, match="not a graph"):
                 brute_independent(sample7, mode, 2)
             assert brute_independent(Hypergraph(2, [{1}, {1, 2}]), mode, 1) == [(1,), (2,)]
+
+
+PATH3 = Hypergraph(3, [{1, 2}, {2, 3}])
+PATH3_AND_4 = Hypergraph(4, [{1, 2}, {2, 3}])  # vertex 4 is isolated
+DOUBLED = Hypergraph(2, [{1, 2}, {1, 2}])
+
+# name -> (input, kernel call, oracle call): each pair gets the same bad argument
+REJECTED = {
+    "graph-size0": (PATH3, lambda h: graph_independent_sets(h, 0),
+                    lambda h: brute_independent(h, "graph", 0)),
+    "weak-size0": (PATH3, lambda h: weak_independent_sets(h, 0),
+                   lambda h: brute_independent(h, "weak", 0)),
+    "strong-size0": (PATH3, lambda h: strong_independent_sets(h, 0),
+                     lambda h: brute_independent(h, "strong", 0)),
+    "k-independent-size0": (PATH3, lambda h: k_independent_sets(h, 0, 1),
+                            lambda h: brute_independent(h, "k-independent", 0, k=1)),
+    "pairwise-adjacent-size0": (PATH3, lambda h: pairwise_adjacent_sets(h, 0),
+                                lambda h: brute_independent(h, "pairwise-adjacent", 0)),
+    "strong-isolated": (PATH3_AND_4, lambda h: strong_independent_sets(h, 1),
+                        lambda h: brute_independent(h, "strong", 1)),
+    "k-independent-isolated": (PATH3_AND_4, lambda h: k_independent_sets(h, 1, 1),
+                               lambda h: brute_independent(h, "k-independent", 1, k=1)),
+    "matchings-k0": (PATH3, lambda h: k_matchings(h, 0), lambda h: brute_matchings(h, 0)),
+    "matchings-repeated-edge": (DOUBLED, lambda h: k_matchings(h, 1),
+                                lambda h: brute_matchings(h, 1)),
+    "j-intersecting-k0": (PATH3, lambda h: j_intersecting_matchings(h, 0, 0),
+                          lambda h: brute_j_intersecting(h, 0, 0)),
+    "j-intersecting-j-1": (PATH3, lambda h: j_intersecting_matchings(h, -1, 2),
+                           lambda h: brute_j_intersecting(h, -1, 2)),
+    "perfect-repeated-edge": (DOUBLED, perfect_matching_count, brute_perfect_matchings),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_set_functions_reject_what_their_kernel_twins_reject(name):
+    h, kernel, brute = REJECTED[name]
+    for enumerator in (kernel, brute):
+        with pytest.raises(ValueError):
+            enumerator(h)
 
 
 class TestBudget:
