@@ -11,7 +11,6 @@ input longer than hypergraph.MAX_INPUT_CHARS characters exits 3.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
@@ -367,7 +366,8 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     try:
-        _write_report(report)
+        _write_json(report, sys.stdout)
+        sys.stdout.flush()  # a closed reader shows here, not at interpreter exit
     except BrokenPipeError:
         # the reader has gone; what is still buffered goes to the null device,
         # so the interpreter's final flush cannot fail a second time
@@ -377,21 +377,6 @@ def main(argv=None) -> int:
         print("output error: standard output closed early", file=sys.stderr)
         return 2
     return 0
-
-
-def _write_report(report):
-    # the writer writes once per chunk; with write-through on (as under
-    # PYTHONUNBUFFERED) a small chunk would be its own syscall
-    out = sys.stdout
-    buffered = isinstance(out, io.TextIOWrapper) and out.write_through
-    if buffered:
-        out.reconfigure(write_through=False)
-    try:
-        _write_json(report, out)
-        out.flush()  # a closed reader shows here, not at interpreter exit
-    finally:
-        if buffered:
-            out.reconfigure(write_through=True)  # flushes the report
 
 
 if __name__ == "__main__":

@@ -182,57 +182,53 @@ def append_violation(path: str, record: dict):
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def run_ryser_trials(trials: int, seed, max_n: int = 12, log_path: str | None = None) -> dict:
-    """Check seeded random instances with r in {2, 3}; returns a summary dict."""
+def _run_trials(kind: str, trials: int, seed, log_path: str | None, trial_of) -> dict:
+    """Run ``trials`` seeded trials and log each failure; returns a summary dict.
+
+    ``trial_of(master)`` draws one instance from the master generator and
+    checks it, returning ``(ok, draw, h, report)``: ``draw`` maps the draw
+    parameters to their values for the violation record.
+    """
     master = random.Random(seed)
     violations = 0
     for trial in range(trials):
+        ok, draw, h, report = trial_of(master)
+        if not ok:
+            violations += 1
+            if log_path:
+                append_violation(
+                    log_path,
+                    {"kind": kind, "trial": trial, **draw,
+                     "hypergraph": to_json_dict(h), "report": report._asdict()},
+                )
+    return {"kind": kind, "trials": trials, "violations": violations}
+
+
+def run_ryser_trials(trials: int, seed, max_n: int = 12, log_path: str | None = None) -> dict:
+    """Check seeded random instances with r in {2, 3}; returns a summary dict."""
+
+    def trial_of(master):
         r = master.choice([2, 3])
         part_size = master.randint(1, max(1, max_n // r))
         edge_count = master.randint(1, min(part_size**r, 3 * part_size))
         inst_seed = master.randrange(2**32)
         h = generate_ryser_instance(r, part_size, edge_count, inst_seed)
         report = check_ryser(h, r, ryser_partition(r, part_size))
-        if not report.bound_ok:
-            violations += 1
-            if log_path:
-                append_violation(
-                    log_path,
-                    {
-                        "kind": "ryser",
-                        "trial": trial,
-                        "r": r,
-                        "part_size": part_size,
-                        "seed": inst_seed,
-                        "hypergraph": to_json_dict(h),
-                        "report": report._asdict(),
-                    },
-                )
-    return {"kind": "ryser", "trials": trials, "violations": violations}
+        return report.bound_ok, {"r": r, "part_size": part_size, "seed": inst_seed}, h, report
+
+    return _run_trials("ryser", trials, seed, log_path, trial_of)
 
 
 def run_frankl_trials(trials: int, seed, max_ground: int = 8, log_path: str | None = None) -> dict:
-    master = random.Random(seed)
-    violations = 0
-    for trial in range(trials):
+    """Check seeded random union-closed families; returns a summary dict."""
+
+    def trial_of(master):
         ground = master.randint(1, max_ground)
         seed_count = master.randint(1, 4)
         inst_seed = master.randrange(2**32)
         h = generate_union_closed(ground, seed_count, inst_seed)
         report = check_frankl(h)
-        if not report.holds:
-            violations += 1
-            if log_path:
-                append_violation(
-                    log_path,
-                    {
-                        "kind": "frankl",
-                        "trial": trial,
-                        "ground": ground,
-                        "seed_count": seed_count,
-                        "seed": inst_seed,
-                        "hypergraph": to_json_dict(h),
-                        "report": report._asdict(),
-                    },
-                )
-    return {"kind": "frankl", "trials": trials, "violations": violations}
+        draw = {"ground": ground, "seed_count": seed_count, "seed": inst_seed}
+        return report.holds, draw, h, report
+
+    return _run_trials("frankl", trials, seed, log_path, trial_of)

@@ -51,6 +51,8 @@ class Hypergraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]] = ()):
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"vertex count must be an integer, got {_echo(n)}")
         if n < 0:
             raise ValueError(f"vertex count must be >= 0, got {_echo(n)}")
         if n > MAX_SIZE:

@@ -71,8 +71,9 @@ class AlgebraMatrix:
         )
 
     def power(self, k: int) -> "AlgebraMatrix":
-        if k < 0:
-            raise ValueError(f"power must be >= 0, got {k}")
+        """The k-th power, by repeated products that stop at the zero matrix."""
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
         if k == 0:
             if self.rows != self.cols:
                 raise ValueError("power 0 requires a square matrix")
@@ -81,6 +82,8 @@ class AlgebraMatrix:
         out = self
         for _ in range(k - 1):
             out = out * self
+            if not any(out._packed):  # every later power is zero too
+                break
         return out
 
 

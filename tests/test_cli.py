@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA, SAMPLE7_TEXT
 import hyperzeon
+from hyperzeon import cli
 from hyperzeon.cli import Records, _write_json, main
 from hyperzeon.hypergraph import parse
 from hyperzeon.oracle import brute_perfect_matchings
@@ -316,25 +318,52 @@ class TestOutput:
         assert len(json.loads(out.getvalue())["records"]) == 5
         assert out.getvalue().endswith("}\n")
 
-    def test_write_through_stdout_is_buffered_and_restored(self):
-        class CountingRaw(io.BytesIO):
-            writes = 0
+    class CountingRaw(io.BytesIO):
+        writes = 0
 
-            def write(self, b):
-                self.writes += 1
-                return super().write(b)
+        def write(self, b):
+            self.writes += 1
+            return super().write(b)
 
+    def run_write_through(self, argv):
+        """Run ``main`` into a write-through text stream; the stream and its counting raw layer."""
+        raw = self.CountingRaw()
+        out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
+        with redirect_stdout(out):
+            assert main(argv) == 0
+        return out, raw
+
+    def test_write_through_stdout_gets_one_write_per_chunk(self):
         text = io.StringIO()
         with redirect_stdout(text):
             main(self.ARGV)
-        raw = CountingRaw()
-        out = io.TextIOWrapper(raw, encoding="utf-8", write_through=True)
-        with redirect_stdout(out):
-            assert main(self.ARGV) == 0
+        out, raw = self.run_write_through(self.ARGV)
         assert out.write_through
         assert raw.getvalue().decode() == text.getvalue()
         # one write per chunk of the report, not one per JSON token
         assert raw.writes <= 2
+
+    def test_report_of_several_chunks(self, monkeypatch):
+        # K9: 840 paths of 5 steps from 1 to 2, one record each
+        text = "9 36\n" + "".join(f"{a} {b}\n" for a, b in combinations(range(1, 10), 2))
+        argv = ["paths", "--from", "1", "--to", "2", "--k", "5"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        args = cli.build_parser().parse_args(argv)
+        report = args.handler(args)
+        records = report["records"]
+        plain = {**report, "records": [dict(zip(records.fields, row)) for row in records.rows]}
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_CHUNK_PARTS", float("inf"))  # no chunk is written early
+            parts = []
+            cli._encode(report, "\n", parts, None)
+        pieces = len(parts) + 1  # and the closing newline
+        chunks = -(-pieces // cli._CHUNK_PARTS)
+        assert chunks > 2
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        _, raw = self.run_write_through(argv)
+        assert raw.getvalue().decode() == json.dumps(plain, indent=2) + "\n"
+        assert raw.writes <= chunks + 1
 
     @pytest.mark.parametrize("unbuffered", ["", "1"])
     def test_reader_gone_before_the_report(self, unbuffered):

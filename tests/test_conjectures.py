@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from conftest import random_hypergraph
+from hyperzeon import conjectures
 from hyperzeon.algebra import Element
 from hyperzeon.conjectures import (
     append_violation,
@@ -200,3 +201,43 @@ class TestHarness:
         summary = run_frankl_trials(25, seed=7, log_path=str(log))
         assert summary == {"kind": "frankl", "trials": 25, "violations": 0}
         assert not log.exists()
+
+    def test_ryser_violations_are_logged(self, tmp_path, monkeypatch):
+        check = conjectures.check_ryser
+        monkeypatch.setattr(conjectures, "check_ryser",
+                            lambda *a: check(*a)._replace(bound_ok=False))
+        log = tmp_path / "ryser.ndjson"
+        summary = run_ryser_trials(3, seed=1, max_n=6, log_path=str(log))
+        assert summary == {"kind": "ryser", "trials": 3, "violations": 3}
+        assert log.read_text().splitlines() == [
+            '{"hypergraph": {"edges": [[2, 5], [1, 4]], "n": 6}, "kind": "ryser", '
+            '"part_size": 3, "r": 2, "report": {"bound_ok": false, "matching_number": 2, '
+            '"r": 2, "transversal_number": 2}, "seed": 1095513148, "trial": 0}',
+            '{"hypergraph": {"edges": [[2, 3, 5], [1, 4, 6], [1, 3, 5], [2, 4, 5]], "n": 6}, '
+            '"kind": "ryser", "part_size": 2, "r": 3, "report": {"bound_ok": false, '
+            '"matching_number": 2, "r": 3, "transversal_number": 2}, "seed": 2798570523, '
+            '"trial": 1}',
+            '{"hypergraph": {"edges": [[1, 2]], "n": 2}, "kind": "ryser", "part_size": 1, '
+            '"r": 2, "report": {"bound_ok": false, "matching_number": 1, "r": 2, '
+            '"transversal_number": 1}, "seed": 3589583794, "trial": 2}',
+        ]
+
+    def test_frankl_violations_are_logged(self, tmp_path, monkeypatch):
+        check = conjectures.check_frankl
+        monkeypatch.setattr(conjectures, "check_frankl",
+                            lambda h: check(h)._replace(holds=False))
+        log = tmp_path / "frankl.ndjson"
+        summary = run_frankl_trials(3, seed=1, max_ground=4, log_path=str(log))
+        assert summary == {"kind": "frankl", "trials": 3, "violations": 3}
+        assert log.read_text().splitlines() == [
+            '{"ground": 2, "hypergraph": {"edges": [[2]], "n": 2}, "kind": "frankl", '
+            '"report": {"best_count": 1, "best_vertex": 2, "holds": false, "m": 1}, '
+            '"seed": 1095513148, "seed_count": 1, "trial": 0}',
+            '{"ground": 4, "hypergraph": {"edges": [[1, 3], [1, 4], [1, 2, 4], [1, 3, 4], '
+            '[1, 2, 3, 4]], "n": 4}, "kind": "frankl", "report": {"best_count": 5, '
+            '"best_vertex": 1, "holds": false, "m": 5}, "seed": 901749037, "seed_count": 4, '
+            '"trial": 1}',
+            '{"ground": 4, "hypergraph": {"edges": [[1, 4]], "n": 4}, "kind": "frankl", '
+            '"report": {"best_count": 1, "best_vertex": 1, "holds": false, "m": 1}, '
+            '"seed": 1674216077, "seed_count": 1, "trial": 2}',
+        ]

@@ -45,6 +45,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Hypergraph(3, [{0, 1}])
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_vertex_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            Hypergraph(n, [[1]])
+        # the JSON parser keeps its own message
+        with pytest.raises(ParseError, match="'n' must be an integer"):
+            parse_json(json.dumps({"n": n, "edges": [[1]]}))
+
     def test_size_limit(self):
         # the vertex count is checked before anything is allocated for it
         with pytest.raises(BudgetError):

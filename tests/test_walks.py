@@ -324,6 +324,24 @@ class TestRecordType:
                 assert all(type(x) is int for x in ids)
                 assert all(a < b for a, b in zip(ids, ids[1:]))
 
+    def test_matrix_power_stops_at_zero(self, sample7, monkeypatch):
+        omega = build_omega(sample7)
+        eighth = omega.power(8)
+        assert not any(any(row) for row in (eighth[r] for r in range(7)))
+        products = 0
+        mul = AlgebraMatrix.__mul__
+
+        def counting_mul(a, b):
+            nonlocal products
+            products += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(AlgebraMatrix, "__mul__", counting_mul)
+        assert omega.power(10**9) == eighth
+        assert products <= sample7.n + 1
+        with pytest.raises(ValueError):
+            omega.power(2.5)
+
     def test_matrix_power_zero_is_identity(self, sample7):
         ident = build_omega(sample7).power(0)
         one = walk_signature(sample7).one()
