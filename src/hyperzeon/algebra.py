@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Mapping
+from itertools import groupby
 from types import MappingProxyType
 from typing import Iterable
 
@@ -209,33 +210,20 @@ class Signature:
         return out
 
     def render_monomial(self, monomial: Monomial) -> str:
-        """Deterministic text for one monomial, multi-index style (e.g. ζ{1,2}ε3)."""
-        if not monomial:
-            return ""
-        parts: list[str] = []
-        run_symbol = None
-        run_subs: list[int] = []
+        """Deterministic text for one monomial, multi-index style (e.g. ζ{1,2}ε3).
 
-        def flush():
-            if not run_subs:
-                return
-            if len(run_subs) == 1:
-                parts.append(f"{run_symbol}{run_subs[0]}")
+        A run of first powers of one symbol prints as one multi-index; a higher
+        power prints on its own (ν1^2ν2^2).
+        """
+        parts = []
+        for (symbol, exp), run in groupby(monomial, lambda t: (self.names[t[0]][0], t[1])):
+            subs = [str(self.names[gid][1]) for gid, _ in run]
+            if exp != 1:
+                parts.extend(f"{symbol}{sub}^{exp}" for sub in subs)
+            elif len(subs) == 1:
+                parts.append(symbol + subs[0])
             else:
-                parts.append(f"{run_symbol}{{{','.join(map(str, run_subs))}}}")
-
-        for gid, exp in monomial:
-            symbol, sub = self.names[gid]
-            if exp == 1:
-                if symbol != run_symbol:
-                    flush()
-                    run_symbol, run_subs = symbol, []
-                run_subs.append(sub)
-            else:
-                flush()
-                run_symbol, run_subs = None, []
-                parts.append(f"{symbol}{sub}^{exp}")
-        flush()
+                parts.append(f"{symbol}{{{','.join(subs)}}}")
         return "".join(parts)
 
 

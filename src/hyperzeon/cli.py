@@ -274,12 +274,11 @@ def _cmd_conjecture(args):
     if args.max_n is not None and args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
     log = args.log or f"{args.which}_violations.ndjson"
-    if args.which == "ryser":
-        max_n = 12 if args.max_n is None else args.max_n
-        summary = run_ryser_trials(args.trials, args.seed, max_n, log)
+    run_trials = run_ryser_trials if args.which == "ryser" else run_frankl_trials
+    if args.max_n is None:  # the size defaults live in the harness alone
+        summary = run_trials(args.trials, args.seed, log_path=log)
     else:
-        max_n = 8 if args.max_n is None else args.max_n
-        summary = run_frankl_trials(args.trials, args.seed, max_n, log)
+        summary = run_trials(args.trials, args.seed, args.max_n, log)
     summary["seed"] = args.seed
     summary["log"] = log if summary["violations"] else None
     if summary["violations"]:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import product
 from typing import NamedTuple
 
 from .algebra import Element, annihilates, subset_products
@@ -132,10 +131,11 @@ def generate_ryser_instance(r: int, part_size: int, edge_count: int, seed) -> Hy
         raise BudgetError(f"edge space {part_size}^{r} too large to sample")
     if edge_count > space:
         raise ValueError(f"cannot pick {edge_count} distinct edges from {space}")
-    rng = random.Random(seed)
-    choices = rng.sample(sorted(product(range(part_size), repeat=r)), edge_count)
+    # draw indices into the edge space in lexicographic order: base-part_size
+    # digit p of an index, most significant first, picks the vertex of part p
     edges = [
-        [p * part_size + c + 1 for p, c in enumerate(choice)] for choice in choices
+        [p * part_size + index // part_size ** (r - 1 - p) % part_size + 1 for p in range(r)]
+        for index in random.Random(seed).sample(range(space), edge_count)
     ]
     return Hypergraph(r * part_size, edges)
 

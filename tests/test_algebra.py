@@ -262,6 +262,18 @@ class TestRendering:
         u = Element.blade(sig, [0, 2, 3, 4], -1)
         assert str(u) == "-ζ{1,3}ε{1,2}"
 
+    def test_runs_of_first_powers_only(self):
+        # a multi-index gathers a run of one symbol's first powers; a higher
+        # power prints alone and ends the run, and equal higher powers never merge
+        nu = Signature.generalized_zeons([3, 3, 3])
+        g0, g1, g2 = nu.gen(0), nu.gen(1), nu.gen(2)
+        assert str(g0**2 * g1**2) == "ν1^2ν2^2"
+        assert str(g0 * g1**2 * g2) == "ν1ν2^2ν3"
+        eps = Signature.idempotents(2) + Signature.idempotents(2)
+        assert str(Element.blade(eps, [0, 1, 2, 3])) == "ε{1,2,1,2}"
+        mixed = Signature.zeons(2) + Signature.generalized_zeons([3]) + Signature.idempotents(2)
+        assert str(3 * Element.blade(mixed, [0, 1, 2, 2, 3])) == "3·ζ{1,2}ν1^2ε1"
+
 
 # Nilpotent indices on both sides of each power-of-two field width.
 BOUNDARY_INDICES = (2, 3, 4, 5, 8, 9)

@@ -538,6 +538,30 @@ class TestHarnessCommands:
         assert (code, report) == (2, None)
         assert err.startswith(f"input error: {argv[1]} must be >= ")
 
+    @pytest.mark.parametrize("which, check, flag", [
+        ("ryser", "check_ryser", "bound_ok"),
+        ("frankl", "check_frankl", "holds"),
+    ])
+    @pytest.mark.parametrize("max_n", [None, 4])
+    def test_conjecture_draws_as_the_harness_does(
+        self, capsys, tmp_path, monkeypatch, which, check, flag, max_n
+    ):
+        # every trial fails, so the logs record every draw; without --max-n the
+        # command draws with the harness's own default size
+        from hyperzeon import conjectures
+
+        original = getattr(conjectures, check)
+        monkeypatch.setattr(conjectures, check, lambda *a: original(*a)._replace(**{flag: False}))
+        log, expected = tmp_path / "cli.ndjson", tmp_path / "lib.ndjson"
+        limit = [] if max_n is None else ["--max-n", str(max_n)]
+        code, report, _ = run(
+            capsys, ["conjecture", which, "--trials", "6", "--seed", "5", *limit, "--log", str(log)]
+        )
+        run_trials = getattr(conjectures, f"run_{which}_trials")
+        run_trials(6, 5, *([] if max_n is None else [max_n]), log_path=str(expected))
+        assert (code, report["violations"]) == (0, 6)
+        assert log.read_text() == expected.read_text()
+
     def test_conjecture_zero_trials(self, capsys, tmp_path):
         log = str(tmp_path / "v.ndjson")
         code, report, _ = run(capsys, ["conjecture", "ryser", "--trials", "0", "--log", log])

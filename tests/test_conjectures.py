@@ -2,7 +2,8 @@
 
 import json
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, product
 
 import pytest
 
@@ -148,6 +149,34 @@ class TestGenerators:
     def test_determinism(self):
         assert generate_ryser_instance(2, 3, 4, 99) == generate_ryser_instance(2, 3, 4, 99)
         assert generate_union_closed(5, 3, 7) == generate_union_closed(5, 3, 7)
+
+    def test_ryser_draws_match_the_materialised_edge_space(self):
+        # the generator samples indices of the sorted edge space and decodes
+        # them; sampling the materialised space itself must draw the same edges
+        for r in range(1, 5):
+            for part_size in (1, 2, 3, 5, 7):
+                space = sorted(product(range(part_size), repeat=r))
+                for edge_count in sorted({1, len(space) // 2 or 1, len(space)}):
+                    for seed in range(5):
+                        choices = random.Random(seed).sample(space, edge_count)
+                        edges = [
+                            [p * part_size + c + 1 for p, c in enumerate(choice)]
+                            for choice in choices
+                        ]
+                        expected = Hypergraph(r * part_size, edges)
+                        assert generate_ryser_instance(r, part_size, edge_count, seed) == expected
+
+    def test_ryser_draw_memory_tracks_the_edges_drawn(self):
+        # 1500 edges out of 250,000 candidates: materialising the candidates
+        # took a 15 MiB peak, the drawn hypergraph itself needs well under 1 MiB
+        tracemalloc.start()
+        try:
+            h = generate_ryser_instance(2, 500, 1500, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert h.m == 1500
+        assert peak < 2 * 2**20
 
     def test_ryser_budgets(self):
         with pytest.raises(ValueError):
