@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .algebra import Element, annihilates, subset_products
 from .errors import BudgetError, InvariantError
 from .hypergraph import MAX_SIZE, Hypergraph, to_json_dict
-from .matchings import incidence_representation, incidence_signature
+from .matchings import incidence_representation
 from .transversals import transversal_number
 
 GAMMA_MAX_N = 20
@@ -43,13 +43,12 @@ def gamma_element(h: Hypergraph) -> Element:
     if h.n > GAMMA_MAX_N:
         raise BudgetError(f"gamma scan is 2^n; limited to n <= {GAMMA_MAX_N}, got {h.n}")
     gamma = incidence_representation(h)
-    sig = incidence_signature(h)
     terms = {}
     for mask in range(2**h.n):
         gids = tuple(g for g in range(h.n) if mask >> g & 1)
         if annihilates(gids, gamma):
             terms[tuple((g, 1) for g in gids)] = 1
-    return Element(sig, terms)
+    return Element(gamma.signature, terms)
 
 
 class RyserReport(NamedTuple):
@@ -96,10 +95,9 @@ def check_frankl(h: Hypergraph) -> FranklReport:
     if h.m == 0:
         raise ValueError("needs at least one edge")
     gamma = incidence_representation(h)
-    sig = incidence_signature(h)
     best_vertex, best_missing = None, None
     for v in range(1, h.n + 1):
-        missing = (sig.gen(v - 1) * gamma).scalar_sum()
+        missing = (gamma.signature.gen(v - 1) * gamma).scalar_sum()
         if missing != h.m - h.degree(v):
             raise InvariantError(f"kernel/degree mismatch at vertex {v}")
         if best_missing is None or missing < best_missing:

@@ -71,20 +71,15 @@ class AlgebraMatrix:
         )
 
     def power(self, k: int) -> "AlgebraMatrix":
-        """The k-th power, by repeated products that stop at the zero matrix."""
+        """The k-th power of a square matrix: each unit row takes k steps of the walk row loop."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-        if k == 0:
-            if self.rows != self.cols:
-                raise ValueError("power 0 requires a square matrix")
-            unit = [{r: {0: 1}} for r in range(self.rows)]
-            return AlgebraMatrix(self.signature, unit, self.cols)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-            if not any(out._packed):  # every later power is zero too
-                break
-        return out
+        if self.rows != self.cols:
+            raise ValueError(f"power of a non-square {self.rows}x{self.cols} matrix")
+        sig, rows = self.signature, self._packed
+        return AlgebraMatrix(
+            sig, [_row_steps(sig, {r: {0: 1}}, rows, k) for r in range(self.rows)], self.cols
+        )
 
 
 # -- matrix builders ------------------------------------------------------------
@@ -101,21 +96,13 @@ def trail_signature(h: Hypergraph) -> Signature:
 
 
 def _adjacency(h: Hypergraph, sig: Signature) -> list[dict]:
-    """Sparse rows: (i, j) -> label of vertex j times the sum of labels of edges containing i and j.
+    """Sparse rows of X·Z: (i, j) -> vertex label j times the sum of labels of edges holding i and j.
 
-    Filled edge by edge over each edge's vertex pairs, so only nonzero entries
-    are stored.
+    Vertex rows of the block rows hold only edge columns and edge rows only
+    vertex columns, so the vertex rows times the block rows are exactly X·Z.
     """
-    n, mask = h.n, sig.mask
-    rows = [{} for _ in range(n)]
-    for l, e in enumerate(h.edges):
-        ebit = mask((n + l,))
-        keys = [(v - 1, mask((v - 1,)) | ebit) for v in e]
-        for a, _ in keys:
-            row = rows[a]
-            for b, key in keys:
-                row.setdefault(b, {})[key] = 1
-    return rows
+    rows = _block_rows(h, sig)
+    return [_row_times_matrix(sig, row, rows) for row in rows[: h.n]]
 
 
 def _block_rows(h: Hypergraph, sig: Signature) -> list[dict]:
@@ -172,18 +159,22 @@ def _row_times_matrix(sig: Signature, row: dict, rows: list[dict]) -> dict:
     return {c: acc for c, acc in out.items() if acc}
 
 
+def _row_steps(sig: Signature, row: dict, rows: list[dict], steps: int) -> dict:
+    """``row`` times the matrix of ``rows``, ``steps`` times; it stops once the row is empty."""
+    for _ in range(steps):
+        if not row:
+            break  # every later step's row is empty too
+        row = _row_times_matrix(sig, row, rows)
+    return row
+
+
 def _row_power(sig: Signature, rows: list[dict], i: int, k: int, start: int, col: int) -> dict:
     """Packed terms of entry (i, col) of the k-th power of ``rows``, times the monomial ``start``.
 
-    Starts from the one-entry row {i: start} and takes k-1 row x matrix
-    steps, stopping once the row is empty (every later power's row is empty
-    too), then multiplies the row by column ``col`` alone.  Ids are 0-based.
+    The one-entry row {i: start} takes k-1 steps of :func:`_row_steps`; the
+    last step multiplies the row by column ``col`` alone.  Ids are 0-based.
     """
-    row = {i: {start: 1}}
-    for _ in range(k - 1):
-        if not row:
-            break
-        row = _row_times_matrix(sig, row, rows)
+    row = _row_steps(sig, {i: {start: 1}}, rows, k - 1)
     acc: dict = {}
     for l, a in row.items():
         if col in rows[l]:

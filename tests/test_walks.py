@@ -6,11 +6,11 @@ import tracemalloc
 import pytest
 
 from conftest import random_hypergraph, records_to_dict
+from hyperzeon import walks
 from hyperzeon.algebra import Element
 from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.oracle import brute_cycles, brute_paths, brute_trails
 from hyperzeon.walks import (
-    AlgebraMatrix,
     WalkRecord,
     build_bipartite,
     build_blocks,
@@ -53,6 +53,27 @@ class TestOmega:
         assert omega[0][0] == want_11
         assert omega[1][5] == sig.zero()
 
+    def test_entries_from_the_definition(self, sample7):
+        # (i, j) is the sum over edges l holding i and j of the blade (vertex j, edge l)
+        for h in (sample7, EDGE_CASES):
+            for build, sig in (
+                (build_omega, walk_signature(h)), (build_trail_matrix, trail_signature(h))
+            ):
+                matrix = build(h)
+                assert matrix.signature == sig
+                assert matrix.rows == matrix.cols == h.n
+                for i in range(1, h.n + 1):
+                    for j in range(1, h.n + 1):
+                        want = sum(
+                            (
+                                blade_for(sig, h, [j], [l])
+                                for l, e in enumerate(h.edges, 1)
+                                if i in e and j in e
+                            ),
+                            sig.zero(),
+                        )
+                        assert matrix[i - 1][j - 1] == want, (build.__name__, i, j)
+
     def test_omega_is_xz(self, sample7):
         for h in (sample7, EDGE_CASES):
             x, z = build_blocks(h)
@@ -82,6 +103,9 @@ class TestOmega:
         x, z = build_blocks(sample7)
         with pytest.raises(ValueError):
             x * x
+        for k in (0, 1, 2):  # powers need a square matrix
+            with pytest.raises(ValueError):
+                x.power(k)
 
 
 class TestPaths:
@@ -328,17 +352,17 @@ class TestRecordType:
         omega = build_omega(sample7)
         eighth = omega.power(8)
         assert not any(any(row) for row in (eighth[r] for r in range(7)))
-        products = 0
-        mul = AlgebraMatrix.__mul__
+        steps = 0
+        row_times_matrix = walks._row_times_matrix
 
-        def counting_mul(a, b):
-            nonlocal products
-            products += 1
-            return mul(a, b)
+        def counting_step(*args):
+            nonlocal steps
+            steps += 1
+            return row_times_matrix(*args)
 
-        monkeypatch.setattr(AlgebraMatrix, "__mul__", counting_mul)
+        monkeypatch.setattr(walks, "_row_times_matrix", counting_step)
         assert omega.power(10**9) == eighth
-        assert products <= sample7.n + 1
+        assert steps <= omega.rows * (sample7.n + 1)
         with pytest.raises(ValueError):
             omega.power(2.5)
 
