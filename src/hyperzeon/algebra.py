@@ -172,22 +172,15 @@ class Signature:
         return key
 
     def decode(self, key: int) -> Monomial:
-        """The canonical tuple monomial of a packed key."""
-        out = []
-        bit_gid, shifts, values = self._bit_gid, self._shifts, self._values
-        while key:
-            g = bit_gid[(key & -key).bit_length() - 1]
-            shift = shifts[g]
-            exp = (key >> shift) & values[g]
-            out.append((g, exp))
-            key ^= exp << shift
-        return tuple(out)
+        """The canonical tuple monomial of a key: :meth:`support`, then one field read per id."""
+        shifts, values = self._shifts, self._values
+        return tuple((g, (key >> shifts[g]) & values[g]) for g in self.support(key))
 
     def support(self, key: int) -> list[int]:
         """The ids of the generators present in a packed key, ascending, each once.
 
-        Cheaper than :meth:`decode` when the exponents are not needed: each
-        generator found clears its whole field.
+        The one reader of a key's bit layout: each generator found clears its
+        whole field.
         """
         out = []
         bit_gid, clear = self._bit_gid, self._clear

@@ -211,17 +211,16 @@ def _cmd_independent(args):
         report["sets"] = sets_of(h)
         return report
     isolated = h.isolated_vertices()
-    back = {v: v for v in range(1, h.n + 1)}
     if isolated:
         # the representation has no label for an edgeless vertex; strip and
         # report them (each joins any weak independent set freely)
         print(f"warning: stripping isolated vertices {sorted(isolated)}", file=sys.stderr)
         keep = [v for v in range(1, h.n + 1) if v not in isolated]
         relabel = {v: i + 1 for i, v in enumerate(keep)}
-        back = {i + 1: v for i, v in enumerate(keep)}
         h = hg.Hypergraph(len(keep), [[relabel[v] for v in e] for e in h.edges])
-    # back is increasing, so each mapped set stays ascending
-    sets = [tuple(back[v] for v in s) for s in sets_of(h)]
+    sets = sets_of(h)
+    if isolated:  # keep is increasing, so each mapped set stays ascending
+        sets = [tuple(keep[v - 1] for v in s) for s in sets]
     if twin:  # pinned: the benchmark's weak companion reads the twin's "sets"
         return {**report, "sets": sets}
     report["by_size"] = {str(size): sets} if sets else {}

@@ -44,11 +44,11 @@ def gamma_element(h: Hypergraph) -> Element:
         raise BudgetError(f"gamma scan is 2^n; limited to n <= {GAMMA_MAX_N}, got {h.n}")
     gamma = incidence_representation(h)
     terms = {}
-    for mask in range(2**h.n):
-        gids = tuple(g for g in range(h.n) if mask >> g & 1)
+    for bits in range(2**h.n):
+        gids = tuple(g for g in range(h.n) if bits >> g & 1)
         if annihilates(gids, gamma):
-            terms[tuple((g, 1) for g in gids)] = 1
-    return Element(gamma.signature, terms)
+            terms[gamma.signature.mask(gids)] = 1
+    return Element.from_packed(gamma.signature, terms)
 
 
 class RyserReport(NamedTuple):

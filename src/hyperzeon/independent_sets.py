@@ -64,17 +64,20 @@ class PhiRepresentation(NamedTuple):
         return self.index_sets(subset_level(self.element.signature, self.element.packed, k), k)
 
 
-def phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
-    """The sum over vertices not in ``skip`` of (incident edge labels) x (the vertex's label)."""
-    m = h.m
-    terms = {}
-    for v in range(1, h.n + 1):
-        if v in skip:
-            continue
-        incident = h.incident_edges(v)
-        monomial = tuple((idx, 1) for idx in incident) + ((m + v - 1, 1),)
-        terms[monomial] = 1
-    return Element(signature, terms)
+def phi(h: Hypergraph, signature: Signature, skip=()) -> PhiRepresentation:
+    """φ: the sum over vertices not in ``skip`` of (incident edge labels) x (the vertex's label).
+
+    Each vertex's packed key starts as its own label; each edge ORs its exponent-1
+    label (not its multi-bit mask) into the keys of its vertices.
+    """
+    m, encode = h.m, signature.encode
+    keys = [encode(((m + v, 1),)) for v in range(h.n)]
+    for l, e in enumerate(h.edges):
+        bit = encode(((l, 1),))
+        for v in e:
+            keys[v - 1] |= bit
+    terms = {key: 1 for v, key in enumerate(keys, 1) if v not in skip}
+    return PhiRepresentation(Element.from_packed(signature, terms), m)
 
 
 # -- graphs ----------------------------------------------------------------------
@@ -96,7 +99,7 @@ def independent_set_representation(g: Hypergraph) -> PhiRepresentation:
     _check_graph(g)
     g2 = _with_isolated_loops(g)
     sig = Signature.zeons(g2.m) + Signature.idempotents(g2.n, "x")
-    return PhiRepresentation(phi(g2, sig), g2.m)
+    return phi(g2, sig)
 
 
 def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple]:
@@ -139,7 +142,7 @@ def weak_representation(h: Hypergraph) -> PhiRepresentation:
     indices = [max(len(e), 2) for e in h.edges]
     sig = Signature.generalized_zeons(indices, "ν") + Signature.idempotents(h.n, "ε")
     skip = {v for e in h.edges if len(e) == 1 for v in e}
-    return PhiRepresentation(phi(h, sig, skip), h.m)
+    return phi(h, sig, skip)
 
 
 def weak_independent_sets(h: Hypergraph, k: int) -> list[tuple]:
@@ -160,7 +163,7 @@ def k_independent_representation(h: Hypergraph, k: int) -> PhiRepresentation:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_no_isolated(h)
     sig = Signature.generalized_zeons([k + 1] * h.m, "ν") + Signature.idempotents(h.n, "ε")
-    return PhiRepresentation(phi(h, sig), h.m)
+    return phi(h, sig)
 
 
 def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[tuple]:

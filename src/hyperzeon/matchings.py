@@ -12,6 +12,8 @@ intersection graph, which also yields j-intersecting matchings.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .algebra import Element, Signature, subset_level, subset_products
 from .hypergraph import Hypergraph
 from .independent_sets import graph_independent_sets
@@ -28,8 +30,9 @@ def incidence_signature(h: Hypergraph) -> Signature:
 
 
 def incidence_representation(h: Hypergraph) -> Element:
-    """Sum of one unit blade per hyperedge over index-2 vertex generators."""
-    return Element(incidence_signature(h), [(tuple((v - 1, 1) for v in e), 1) for e in h.edges])
+    """γ: a unit blade (packed vertex mask) per hyperedge; a repeated edge gets coefficient 2."""
+    sig = incidence_signature(h)
+    return Element.from_packed(sig, dict(Counter(sig.mask(v - 1 for v in e) for e in h.edges)))
 
 
 def k_matchings(h: Hypergraph, k: int) -> list[tuple[tuple, int]]:
@@ -59,7 +62,7 @@ def perfect_matching_count(h: Hypergraph) -> int:
         return 1  # the empty family covers no vertex
     gamma = incidence_representation(h)
     sig = gamma.signature
-    full = sig.encode((g, 1) for g in range(h.n))
+    full = sig.mask(range(h.n))
     r = h.uniform_rank()
     if r is None:
         return sum(level.get(full, 0) for _, level in subset_products(sig, gamma.packed))

@@ -28,7 +28,7 @@ def transversal_signature(h: Hypergraph) -> Signature:
 
 
 def transversal_representation(h: Hypergraph) -> PhiRepresentation:
-    return PhiRepresentation(phi(h, transversal_signature(h), skip=h.isolated_vertices()), h.m)
+    return phi(h, transversal_signature(h), skip=h.isolated_vertices())
 
 
 def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:

@@ -1,5 +1,6 @@
 """Shared fixtures and seeded generators for the test suite."""
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,14 @@ from hyperzeon.hypergraph import Hypergraph, parse
 DATA = Path(__file__).parent / "data"
 
 SAMPLE7_TEXT = (DATA / "sample7.hg").read_text(encoding="utf-8")
+
+
+@pytest.fixture(autouse=True)
+def _warnings_are_errors():
+    """Fail any test that raises a Python warning, as ``pytest -W error`` would."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 @pytest.fixture(scope="session")

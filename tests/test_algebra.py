@@ -417,15 +417,24 @@ class TestPackedKernel:
             assert probe not in u.terms
             assert u.terms.get(probe) is None
 
-    @given(operand_pairs())
+    @given(operand_pairs(), st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=200, deadline=None)
-    def test_support_matches_decode(self, case):
+    def test_support_matches_decode(self, case, seed):
         sig, a_terms, b_terms = case
         # products too, so that fields carry exponents reached by addition
         keys = set(as_element(sig, a_terms).packed)
         keys |= set((as_element(sig, a_terms) * as_element(sig, b_terms)).packed)
         for key in keys:
             assert sig.support(key) == [g for g, _ in sig.decode(key)]
+        # decode is built on support, so it is also checked on its own: a round
+        # trip through encode, multi-bit exponents and any input order included
+        rng = random.Random(seed)
+        sig = random_signature(rng)
+        assert sig.decode(0) == ()
+        for _ in range(10):
+            gids = rng.sample(range(len(sig)), rng.randint(0, len(sig)))
+            monomial = [(g, rng.randint(1, (sig.caps[g] or 2) - 1)) for g in gids]
+            assert sig.decode(sig.encode(monomial)) == tuple(sorted(monomial))
 
     def test_support_of_multi_bit_fields(self):
         sig = Signature.generalized_zeons([2, 3, 5, 9]) + Signature.idempotents(2)
