@@ -9,9 +9,12 @@ integer or rational coefficients; all operations are pure functions.
 
 Internally every monomial is one packed ``int`` (see :class:`Signature`), and
 :func:`mul_into`, which multiplies packed term dicts, is the only product of
-monomials; :func:`subset_products` builds the enumerators' subset levels on
-it.  :class:`Element` is the public value type, and the public view of an
-element's terms keeps canonical tuple monomials.
+monomials.  Each product layer calls it from one place: ``Element.__mul__``
+(which ``__pow__`` steps through) for the public algebra,
+``walks._row_times_matrix`` for every walk and matrix product, and
+:func:`subset_products` for every subset level.  :class:`Element` is the
+public value type, and the public view of an element's terms keeps canonical
+tuple monomials.
 """
 
 from __future__ import annotations
@@ -432,14 +435,13 @@ class Element:
         # and a vanished partial product short-circuits the rest.
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-        sig = self.signature
         if k == 0:
-            return Element.scalar(sig, 1)
+            return Element.scalar(self.signature, 1)
         out = self
         for _ in range(k - 1):
             if not out:
                 break
-            out = Element.from_packed(sig, mul_into(sig, {}, out._terms, self._terms))
+            out = out * self
         return out
 
     # -- structure queries -------------------------------------------------

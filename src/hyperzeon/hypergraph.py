@@ -98,10 +98,6 @@ class Hypergraph:
 
     # -- local structure ---------------------------------------------------
 
-    def incident_edges(self, v: int) -> tuple[int, ...]:
-        """0-based indices of the edges containing v."""
-        return tuple(i for i, e in enumerate(self.edges) if v in e)
-
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 

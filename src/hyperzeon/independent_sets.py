@@ -35,10 +35,6 @@ class PhiRepresentation(NamedTuple):
     element: Element
     edge_count: int
 
-    def x_set(self, monomial) -> frozenset:
-        """1-based vertex ids carried by a monomial's idempotent part."""
-        return frozenset(g - self.edge_count + 1 for g, _ in monomial if g >= self.edge_count)
-
     def index_sets(self, level: dict, k: int) -> list[tuple]:
         """The sorted ascending vertex id tuples of a level's terms (packed key -> coefficient).
 

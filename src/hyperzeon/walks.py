@@ -15,7 +15,7 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .algebra import Element, Signature, mul_into
-from .errors import InvariantError
+from .errors import ContextError, InvariantError
 from .hypergraph import Hypergraph
 
 
@@ -62,7 +62,7 @@ class AlgebraMatrix:
         if not isinstance(other, AlgebraMatrix):
             return NotImplemented
         if self.signature != other.signature:
-            raise ValueError("matrix signatures differ")
+            raise ContextError("matrix signatures differ")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         sig, rows = self.signature, other._packed
@@ -181,14 +181,11 @@ def _row_power(sig: Signature, rows: list[dict], i: int, k: int, start: int, col
     """Packed terms of entry (i, col) of the k-th power of ``rows``, times the monomial ``start``.
 
     The one-entry row {i: start} takes k-1 steps of :func:`_row_steps`; the
-    last step multiplies the row by column ``col`` alone.  Ids are 0-based.
+    last step is the same row step, over column ``col`` alone.  Ids are 0-based.
     """
     row = _row_steps(sig, {i: {start: 1}}, rows, k - 1)
-    acc: dict = {}
-    for l, a in row.items():
-        if col in rows[l]:
-            mul_into(sig, acc, a, rows[l][col])
-    return acc
+    column = {l: {col: rows[l][col]} if col in rows[l] else {} for l in row}
+    return _row_times_matrix(sig, row, column).get(col, {})
 
 
 def _extract_records(sig: Signature, entry: dict, n: int) -> list[WalkRecord]:

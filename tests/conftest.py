@@ -79,5 +79,16 @@ def strip_isolated(h: Hypergraph) -> Hypergraph:
     return Hypergraph(len(keep), [[relabel[v] for v in e] for e in h.edges])
 
 
+def incident_edges(h: Hypergraph, v: int) -> tuple[int, ...]:
+    """0-based indices of the edges of h containing vertex v."""
+    return tuple(i for i, e in enumerate(h.edges) if v in e)
+
+
+def vertex_set(rep, key: int) -> frozenset:
+    """1-based vertex ids of the vertex labels in a packed key of a φ or σ representation."""
+    m = rep.edge_count
+    return frozenset(g - m + 1 for g in rep.element.signature.support(key) if g >= m)
+
+
 def records_to_dict(records) -> dict:
     return {(frozenset(r.vertex_set), frozenset(r.edge_set)): r.count for r in records}

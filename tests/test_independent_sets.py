@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_graph, random_hypergraph, strip_isolated
+from conftest import incident_edges, random_graph, random_hypergraph, strip_isolated, vertex_set
 from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.independent_sets import (
     graph_cliques,
@@ -104,11 +104,11 @@ class TestWeakIndependentSets:
         # and surviving vertex sets
         rep = weak_representation(sample7)
         power = rep.element**5
+        decode = rep.element.signature.decode
         seen = {}
-        for mono, coeff in power.terms.items():
-            edge_part = tuple((g + 1, e) for g, e in mono if g < rep.edge_count)
-            verts = rep.x_set(mono)
-            seen[verts] = (coeff, edge_part)
+        for key, coeff in power.packed.items():
+            edge_part = tuple((g + 1, e) for g, e in decode(key) if g < rep.edge_count)
+            seen[vertex_set(rep, key)] = (coeff, edge_part)
         assert seen == {
             frozenset({2, 5, 7}): (30, ((1, 2), (2, 2), (3, 1), (6, 1))),
             frozenset({2, 6, 7}): (30, ((1, 2), (2, 2), (4, 1), (5, 1), (6, 1))),
@@ -242,13 +242,14 @@ class TestRepresentationStructure:
         rep = independent_set_representation(graph)
         assert rep.edge_count == graph.m + 1
         assert len(rep.element.terms) == 4
-        for mono, coeff in rep.element.terms.items():
+        support = rep.element.signature.support
+        for key, coeff in rep.element.packed.items():
             assert coeff == 1
-            verts = rep.x_set(mono)
+            verts = vertex_set(rep, key)
             assert len(verts) == 1
             v = next(iter(verts))
-            edges = {g for g, _ in mono if g < rep.edge_count}
-            assert edges == (set(graph.incident_edges(v)) or {graph.m})
+            edges = {g for g in support(key) if g < rep.edge_count}
+            assert edges == (set(incident_edges(graph, v)) or {graph.m})
 
     def test_weak_representation_indices(self, sample7):
         rep = weak_representation(sample7)

@@ -26,6 +26,30 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
+def test_mul_into_has_one_call_site_per_product_layer():
+    # the public algebra, the walk and matrix products, and the subset levels
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+
+        def visit(node, scope):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "mul_into":
+                    sites.append(".".join(scope))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = [*scope, node.name]
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    assert sorted(sites) == [
+        "algebra.Element.__mul__",
+        "algebra.subset_products",
+        "walks._row_times_matrix",
+    ]
+
+
 def test_bad_level_coefficient_raises_and_exits_two(monkeypatch, capsys):
     h = Hypergraph(4, [{1, 2}, {3, 4}])
     assert graph_independent_sets(h, 2) == [(1, 3), (1, 4), (2, 3), (2, 4)]

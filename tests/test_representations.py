@@ -1,7 +1,7 @@
 """φ, σ and γ against their definitions, rebuilt from tuple monomials.
 
 Each expected element is a sum of unit blades built through
-:meth:`Hypergraph.incident_edges` (a vertex's incident edge labels times its
+``incident_edges`` in ``conftest`` (a vertex's incident edge labels times its
 own label) or through the edges' vertex sets, over a signature written out
 from the caps each representation documents.
 """
@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_graph, random_hypergraph, strip_isolated
+from conftest import incident_edges, random_graph, random_hypergraph, strip_isolated, vertex_set
 from hyperzeon.algebra import Element, Signature
 from hyperzeon.conjectures import gamma_element
 from hyperzeon.hypergraph import Hypergraph
@@ -37,7 +37,7 @@ def phi_by_definition(h, edge_caps, skip=()):
     want = sig.zero()
     for v in range(1, h.n + 1):
         if v not in skip:
-            want = want + Element.blade(sig, [*h.incident_edges(v), h.m + v - 1])
+            want = want + Element.blade(sig, [*incident_edges(h, v), h.m + v - 1])
     return want
 
 
@@ -106,7 +106,7 @@ def test_edge_cases(name):
 def test_edge_cases_show_their_feature():
     iso = transversal_representation(EDGE_CASES["isolated vertex"])
     assert len(iso.element.packed) == 3  # no factor for vertex 4
-    assert set().union(*map(iso.x_set, iso.element.terms)) == {1, 2, 3}
+    assert set().union(*(vertex_set(iso, key) for key in iso.element.packed)) == {1, 2, 3}
     single = weak_representation(EDGE_CASES["singleton edge"])
     assert len(single.element.packed) == 2  # vertex 1 lies in the singleton edge
     gamma = incidence_representation(EDGE_CASES["repeated edge"])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_graph, random_hypergraph, strip_isolated
+from conftest import random_graph, random_hypergraph, strip_isolated, vertex_set
 from hyperzeon.algebra import Signature, nilpotency_index, subset_level, subset_products
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import (
@@ -75,7 +75,7 @@ def _check_phi_identity(rep, k):
     """Terms of phi^k with k vertex labels are k! times the level-k subset products."""
     sig = rep.element.signature
     power = rep.element**k
-    grade_k = {key: c for key, c in power.packed.items() if len(rep.x_set(sig.decode(key))) == k}
+    grade_k = {key: c for key, c in power.packed.items() if len(vertex_set(rep, key)) == k}
     level = subset_level(sig, rep.element.packed, k)
     assert grade_k == {key: factorial(k) * c for key, c in level.items()}
 

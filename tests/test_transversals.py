@@ -3,7 +3,7 @@
 import random
 from itertools import combinations
 
-from conftest import random_hypergraph
+from conftest import random_hypergraph, vertex_set
 from hyperzeon.algebra import Element, annihilates
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.matchings import incidence_representation
@@ -53,7 +53,7 @@ class TestRepresentation:
         rep = transversal_representation(h)
         assert len(rep.element.terms) == 2
         # no term carries the label of the isolated vertices 2 and 4
-        assert set().union(*map(rep.x_set, rep.element.terms)) == {1, 3}
+        assert set().union(*(vertex_set(rep, key) for key in rep.element.packed)) == {1, 3}
 
     def test_exponents_never_exceed_one(self, sample7):
         # sigma^2 = sigma structurally: idempotent collapse everywhere

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_hypergraph, records_to_dict
 from hyperzeon import walks
 from hyperzeon.algebra import Element
+from hyperzeon.errors import ContextError
 from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.oracle import brute_cycles, brute_paths, brute_trails
 from hyperzeon.walks import (
@@ -106,6 +107,14 @@ class TestOmega:
         for k in (0, 1, 2):  # powers need a square matrix
             with pytest.raises(ValueError):
                 x.power(k)
+
+    def test_mixed_signatures_raise_context_error(self, sample7):
+        # both 7 x 7, but Omega's vertices are nilpotent and the trail matrix's idempotent
+        omega, trail = build_omega(sample7), build_trail_matrix(sample7)
+        with pytest.raises(ContextError, match="matrix signatures differ"):
+            omega * trail
+        with pytest.raises(ValueError):  # ContextError is a ValueError
+            trail * omega
 
 
 class TestPaths:
@@ -323,6 +332,25 @@ class TestSparseRows:
         # entry (1, 4) of Omega^3 is the one path 1-2-3-4, without its start label
         sig = walk_signature(h)
         assert build_omega(h).power(3)[0][3] == blade_for(sig, h, [2, 3, 4], [1, 2, 3])
+
+    def test_row_power_is_one_column_of_the_full_last_step(self, sample7):
+        # the last step over column col alone gives that column of the full
+        # k-th row, term for term and in the same order; EDGE_CASES and some
+        # random inputs have isolated vertices, and k runs from 1 to n + 2,
+        # past the early stop of the walk rows
+        rng = random.Random(21)
+        cases = [(sample7, walk_signature), (EDGE_CASES, trail_signature)]
+        for signature in (walk_signature, trail_signature) * 10:
+            cases.append((random_hypergraph(rng, max_n=6, max_m=5), signature))
+        for h, signature in cases:
+            sig = signature(h)
+            rows = walks._adjacency(h, sig)
+            for i in range(h.n):
+                for k in range(1, h.n + 3):
+                    full = walks._row_steps(sig, {i: {sig.mask((i,)): 1}}, rows, k)
+                    for col in range(h.n):
+                        got = walks._row_power(sig, rows, i, k, sig.mask((i,)), col)
+                        assert list(got.items()) == list(full.get(col, {}).items())
 
 
 class TestRecordType:
