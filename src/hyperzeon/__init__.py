@@ -18,7 +18,7 @@ _EXPORTS = {
     "errors": ("BudgetError", "ContextError", "InvariantError", "ParseError"),
     "hypergraph": ("Hypergraph", "emit", "parse", "parse_json", "parse_text", "to_json_dict"),
     "independent_sets": (
-        "PhiRepresentation", "graph_cliques", "graph_independent_sets",
+        "graph_cliques", "graph_independent_sets",
         "independent_set_representation", "k_independent_sets", "pairwise_adjacent_sets",
         "strong_independent_sets", "weak_independent_sets", "weak_representation",
     ),

@@ -42,13 +42,14 @@ class Signature:
     ``caps`` holds one entry per generator: its nilpotency index, an int >= 2,
     or None for an idempotent generator.  Generator ids are dense (0..G-1) and
     stable.  Tensor products are formed by concatenation (``sig_a + sig_b``);
-    the combined id space is partitioned between the factors.  Two signatures
-    are equal when their caps agree; display names are cosmetic and kept per
-    generator as (symbol, subscript) for deterministic rendering.
+    ``blocks`` keeps the id ranges of the operands' blocks, in order, so
+    (a + b) + c and a + (b + c) have the same three; a signature built any
+    other way is one block.  Two signatures are equal when their caps agree;
+    names are cosmetic, kept per generator as (symbol, subscript) for rendering.
 
     Packed monomials: generator g owns a bit field starting at ``_shifts[g]``,
-    fields laid out in id order from the low bits.  An idempotent field is one
-    bit.  A nilpotent field of index c holds the exponent in
+    fields laid out in id order from the low bits up to ``_shifts[G]``.  An
+    idempotent field is one bit.  A nilpotent field of index c holds the exponent in
     v = max(1, (c-1).bit_length()) value bits followed by one guard bit, and
     carries a bias of 2**v - c.  Adding two exponents plus the bias sets the
     guard bit exactly when their sum reaches c, so one addition multiplies all
@@ -56,8 +57,8 @@ class Signature:
     """
 
     __slots__ = (
-        "caps", "names", "_shifts", "_values", "_clear", "_bit_gid", "_idem", "_bias",
-        "_guard",
+        "caps", "names", "blocks", "_shifts", "_values", "_clear", "_bit_gid", "_block_masks",
+        "_idem", "_bias", "_guard",
     )
 
     def __init__(self, caps: Iterable[int | None], names=None):
@@ -89,6 +90,7 @@ class Signature:
             clear.append(~(((1 << width) - 1) << shift))
             bit_gid.extend([gid] * width)
             shift += width
+        shifts.append(shift)
         self._shifts = tuple(shifts)
         self._values = tuple(values)  # value-bit mask of each field, unshifted
         self._clear = tuple(clear)  # AND-mask removing each whole field
@@ -96,6 +98,8 @@ class Signature:
         self._idem = idem
         self._bias = bias
         self._guard = guard
+        self.blocks = (range(len(self.caps)),)
+        self._block_masks = ((1 << shift) - 1,)  # whole fields: keys never set a guard bit
 
     @staticmethod
     def _default_name(cap: int | None, i: int):
@@ -122,7 +126,11 @@ class Signature:
     def __add__(self, other: "Signature") -> "Signature":
         if not isinstance(other, Signature):
             return NotImplemented
-        return Signature(self.caps + other.caps, self.names + other.names)
+        out = Signature(self.caps + other.caps, self.names + other.names)
+        n, width = len(self), self._shifts[-1]
+        out.blocks = self.blocks + tuple(range(b.start + n, b.stop + n) for b in other.blocks)
+        out._block_masks = self._block_masks + tuple(m << width for m in other._block_masks)
+        return out
 
     def __len__(self) -> int:
         return len(self.caps)
@@ -158,10 +166,10 @@ class Signature:
         caps, shifts, values = self.caps, self._shifts, self._values
         key = 0
         for gid, exp in monomial:
-            if not 0 <= gid < len(caps):
-                raise ValueError(f"generator id {gid} out of range")
-            if exp < 1:
-                raise ValueError(f"exponent must be >= 1, got {exp}")
+            if type(gid) is not int or not 0 <= gid < len(caps):
+                raise ValueError(f"generator id {gid!r} out of range")
+            if type(exp) is not int or exp < 1:
+                raise ValueError(f"exponent must be an int >= 1, got {exp!r}")
             shift = shifts[gid]
             cap = caps[gid]
             if cap:
@@ -179,19 +187,24 @@ class Signature:
         shifts, values = self._shifts, self._values
         return tuple((g, (key >> shifts[g]) & values[g]) for g in self.support(key))
 
-    def support(self, key: int) -> list[int]:
+    def support(self, key: int, block: int | None = None) -> tuple[int, ...]:
         """The ids of the generators present in a packed key, ascending, each once.
 
-        The one reader of a key's bit layout: each generator found clears its
-        whole field.
+        With ``block`` b, only those in ``blocks[b]``, numbered from 1 within
+        it as the default display subscripts are.  The one reader of a key's
+        bit layout: each generator found clears its whole field.
         """
+        base = 0
+        if block is not None:
+            key &= self._block_masks[block]
+            base = self.blocks[block].start - 1
         out = []
         bit_gid, clear = self._bit_gid, self._clear
         while key:
             g = bit_gid[(key & -key).bit_length() - 1]
-            out.append(g)
+            out.append(g - base)
             key &= clear[g]
-        return out
+        return tuple(out)
 
     def mask(self, gids: Iterable[int]) -> int:
         """The value bits of the given generators' fields.
@@ -202,6 +215,8 @@ class Signature:
         """
         out = 0
         for g in gids:
+            if type(g) is not int or not 0 <= g < len(self.caps):
+                raise ValueError(f"generator id {g!r} out of range")
             out |= self._values[g] << self._shifts[g]
         return out
 
@@ -313,7 +328,8 @@ class Element:
 
     Stored terms never include zero coefficients and every monomial is a
     packed key of the signature, so equality is plain dict equality.
-    Arithmetic accepts ints and Fractions on either side and lifts them to
+    Coefficients are ints or Fractions, which every constructor but
+    :meth:`from_packed` checks; arithmetic lifts them on either side to
     scalar elements.
     """
 
@@ -324,6 +340,8 @@ class Element:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Coeff] = {}
         for monomial, coeff in items:
+            if not _is_scalar(coeff):
+                raise ValueError(f"a coefficient must be an int or a Fraction, got {coeff!r}")
             m = signature.encode(monomial)
             if m is not None:
                 acc[m] = acc.get(m, 0) + coeff
@@ -333,7 +351,7 @@ class Element:
 
     @classmethod
     def scalar(cls, signature: Signature, value: Coeff) -> "Element":
-        return cls.from_packed(signature, {0: value})
+        return cls(signature, {(): value})
 
     @classmethod
     def blade(cls, signature: Signature, gids: Iterable[int], coeff: Coeff = 1) -> "Element":

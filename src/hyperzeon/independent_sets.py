@@ -11,56 +11,46 @@ non-adjacency, with index-|e| labels it forbids containing a whole hyperedge
 intersection at k.  The surviving idempotent index sets are exactly the
 independent k-sets.  The transversal element σ is the same :func:`phi` with
 idempotent edge labels (:mod:`~hyperzeon.transversals`), read by the same
-:meth:`PhiRepresentation.index_sets`.
+:func:`index_sets`.
 
-Generator id layout in every representation: edge labels occupy ids 0..m-1 in
-edge order (for graphs, appended loop edges follow the original edges), vertex
-labels occupy ids m..m+n-1.  Graph mode gives each isolated vertex a loop, as
-the paper does; a representation keeps no record of which vertices were
-isolated, and the CLI reports them from the hypergraph itself.
+Every representation's signature has two blocks: the edge labels in edge order
+(for graphs, appended loop edges follow the original edges), then the vertex
+labels, so a key's block-1 read is its vertex id set.  Graph mode gives each
+isolated vertex a loop, as the paper does; a representation keeps no record of
+which vertices were isolated, and the CLI reports them from the hypergraph itself.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 from .algebra import Element, Signature, subset_level
 from .errors import InvariantError
 from .hypergraph import Hypergraph
 
 
-class PhiRepresentation(NamedTuple):
-    """A vertices-to-labels sum, with enough layout to read index sets back out."""
+def index_sets(signature: Signature, level: dict, k: int) -> list[tuple]:
+    """The sorted block-1 reads (vertex id tuples) of a level's terms (packed key -> coefficient).
 
-    element: Element
-    edge_count: int
-
-    def index_sets(self, level: dict, k: int) -> list[tuple]:
-        """The sorted ascending vertex id tuples of a level's terms (packed key -> coefficient).
-
-        Each term must carry exactly k vertex labels with coefficient 1, and no set may repeat.
-        """
-        sig = self.element.signature
-        support = sig.support
-        vertices = sig.mask(range(self.edge_count, len(sig)))
-        shift = 1 - self.edge_count  # vertex label id -> 1-based vertex id
-        out = []
-        for key, coeff in level.items():
-            xs = tuple(g + shift for g in support(key & vertices))
-            if len(xs) != k or coeff != 1:
-                raise InvariantError(f"index set {list(xs)} with coefficient {coeff} at level {k}")
-            out.append(xs)
-        out.sort()
-        if any(a == b for a, b in zip(out, out[1:])):
-            raise InvariantError(f"an index set appeared twice at level {k}")
-        return out
-
-    def level_sets(self, k: int) -> list[tuple]:
-        """The index sets of the k-subset products of this representation's factors, sorted."""
-        return self.index_sets(subset_level(self.element.signature, self.element.packed, k), k)
+    Each term must carry exactly k vertex labels with coefficient 1, and no set may repeat.
+    """
+    support = signature.support
+    out = []
+    for key, coeff in level.items():
+        xs = support(key, 1)
+        if len(xs) != k or coeff != 1:
+            raise InvariantError(f"index set {list(xs)} with coefficient {coeff} at level {k}")
+        out.append(xs)
+    out.sort()
+    if any(a == b for a, b in zip(out, out[1:])):
+        raise InvariantError(f"an index set appeared twice at level {k}")
+    return out
 
 
-def phi(h: Hypergraph, signature: Signature, skip=()) -> PhiRepresentation:
+def level_sets(element: Element, k: int) -> list[tuple]:
+    """The index sets of the k-subset products of a φ element's factors, sorted."""
+    return index_sets(element.signature, subset_level(element.signature, element.packed, k), k)
+
+
+def phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
     """φ: the sum over vertices not in ``skip`` of (incident edge labels) x (the vertex's label).
 
     Each vertex's packed key starts as its own label; each edge ORs its exponent-1
@@ -72,8 +62,7 @@ def phi(h: Hypergraph, signature: Signature, skip=()) -> PhiRepresentation:
         bit = encode(((l, 1),))
         for v in e:
             keys[v - 1] |= bit
-    terms = {key: 1 for v, key in enumerate(keys, 1) if v not in skip}
-    return PhiRepresentation(Element.from_packed(signature, terms), m)
+    return Element.from_packed(signature, {key: 1 for v, key in enumerate(keys, 1) if v not in skip})
 
 
 # -- graphs ----------------------------------------------------------------------
@@ -90,7 +79,7 @@ def _with_isolated_loops(g: Hypergraph) -> Hypergraph:
     return Hypergraph(g.n, [sorted(e) for e in g.edges] + [[v] for v in loops])
 
 
-def independent_set_representation(g: Hypergraph) -> PhiRepresentation:
+def independent_set_representation(g: Hypergraph) -> Element:
     """The index-2 labeled sum for an ordinary graph, after adding loops to isolated vertices."""
     _check_graph(g)
     g2 = _with_isolated_loops(g)
@@ -106,7 +95,7 @@ def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return independent_set_representation(g).level_sets(k)
+    return level_sets(independent_set_representation(g), k)
 
 
 def graph_cliques(g: Hypergraph, k: int) -> list[tuple]:
@@ -127,7 +116,7 @@ def _check_no_isolated(h: Hypergraph):
         )
 
 
-def weak_representation(h: Hypergraph) -> PhiRepresentation:
+def weak_representation(h: Hypergraph) -> Element:
     """Edge labels nilpotent of index |e|, so a selection containing an edge vanishes.
 
     Vertices lying in a singleton edge are omitted: their label would need
@@ -150,10 +139,10 @@ def weak_independent_sets(h: Hypergraph, k: int) -> list[tuple]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return weak_representation(h).level_sets(k)
+    return level_sets(weak_representation(h), k)
 
 
-def k_independent_representation(h: Hypergraph, k: int) -> PhiRepresentation:
+def k_independent_representation(h: Hypergraph, k: int) -> Element:
     """Every edge label nilpotent of index k+1: selections meet each edge at most k times."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -169,7 +158,7 @@ def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[tuple]:
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    return k_independent_representation(h, k).level_sets(size)
+    return level_sets(k_independent_representation(h, k), size)
 
 
 def strong_independent_sets(h: Hypergraph, size: int) -> list[tuple]:

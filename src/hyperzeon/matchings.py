@@ -41,12 +41,9 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[tuple, int]]:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_distinct_edges(h)
     gamma = incidence_representation(h)
-    sig = gamma.signature
-    support = sig.support
-    return sorted(
-        (tuple(g + 1 for g in support(key)), count)
-        for key, count in subset_level(sig, gamma.packed, k).items()
-    )
+    support = gamma.signature.support
+    level = subset_level(gamma.signature, gamma.packed, k)
+    return sorted((support(key, 0), count) for key, count in level.items())
 
 
 def perfect_matching_count(h: Hypergraph) -> int:

@@ -11,23 +11,23 @@ transversal number, and the vertex index sets attached to that blade are
 exactly the minimum transversals.  Isolated vertices can never help cover an
 edge, so they get no factor; the CLI reports them from the hypergraph itself.
 
-Generator ids: edge labels 0..m-1 ("ε", 1-based subscripts), vertex labels
-m..m+n-1 ("x").
+Signature blocks: edge labels ("ε"), then vertex labels ("x"), read back as
+vertex sets by :func:`~hyperzeon.independent_sets.index_sets`.
 """
 
 from __future__ import annotations
 
-from .algebra import Signature, subset_products
+from .algebra import Element, Signature, subset_products
 from .errors import InvariantError
 from .hypergraph import Hypergraph
-from .independent_sets import PhiRepresentation, phi
+from .independent_sets import index_sets, phi
 
 
 def transversal_signature(h: Hypergraph) -> Signature:
     return Signature.idempotents(h.m, "ε") + Signature.idempotents(h.n, "x")
 
 
-def transversal_representation(h: Hypergraph) -> PhiRepresentation:
+def transversal_representation(h: Hypergraph) -> Element:
     return phi(h, transversal_signature(h), skip=h.isolated_vertices())
 
 
@@ -42,12 +42,12 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
     """
     if h.m == 0:
         return 0, [()]
-    rep = transversal_representation(h)
-    sig = rep.element.signature
+    sigma = transversal_representation(h)
+    sig = sigma.signature
     full_edges = sig.mask(range(h.m))
-    for j, level in subset_products(sig, rep.element.packed):
+    for j, level in subset_products(sig, sigma.packed):
         full = {key: c for key, c in level.items() if key & full_edges == full_edges}
-        hits = rep.index_sets(full, j)
+        hits = index_sets(sig, full, j)
         if hits:
             return j, hits
     raise InvariantError("no transversal found, yet every edge is non-empty")

@@ -11,7 +11,6 @@ idempotently and merely shrink the recorded edge set.  Trails swap the roles
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import NamedTuple
 
 from .algebra import Element, Signature, mul_into
@@ -86,12 +85,12 @@ class AlgebraMatrix:
 
 
 def walk_signature(h: Hypergraph) -> Signature:
-    """Vertices 1..n as index-2 nilpotents (ids 0..n-1), edges as idempotents (ids n..n+m-1)."""
+    """Block 0: vertices 1..n as index-2 nilpotents; block 1: edges as idempotents."""
     return Signature.zeons(h.n) + Signature.idempotents(h.m)
 
 
 def trail_signature(h: Hypergraph) -> Signature:
-    """Role swap: vertices idempotent, edges index-2 nilpotent."""
+    """Role swap: vertices (block 0) idempotent, edges (block 1) index-2 nilpotent."""
     return Signature.idempotents(h.n, "ε") + Signature.zeons(h.m, "ζ")
 
 
@@ -188,16 +187,10 @@ def _row_power(sig: Signature, rows: list[dict], i: int, k: int, start: int, col
     return _row_times_matrix(sig, row, column).get(col, {})
 
 
-def _extract_records(sig: Signature, entry: dict, n: int) -> list[WalkRecord]:
-    """One record per term, ordered by vertex ids, then edge ids."""
+def _extract_records(sig: Signature, entry: dict) -> list[WalkRecord]:
+    """One record per term (vertex ids from block 0, edge ids from block 1), sorted."""
     support = sig.support
-    records = []
-    for key, coeff in entry.items():
-        gids = support(key)  # ascending: vertex ids below n, edge ids from n
-        split = bisect_left(gids, n)
-        records.append(WalkRecord(
-            tuple([g + 1 for g in gids[:split]]), tuple([g - n + 1 for g in gids[split:]]), coeff
-        ))
+    records = [WalkRecord(support(key, 0), support(key, 1), c) for key, c in entry.items()]
     records.sort()
     return records
 
@@ -221,7 +214,7 @@ def k_paths(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
         raise ValueError(f"paths need k >= 1, got {k}")
     sig = walk_signature(h)
     entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i - 1,)), j - 1)
-    records = _extract_records(sig, entry, h.n)
+    records = _extract_records(sig, entry)
     for r in records:
         if len(r.vertex_set) != k + 1 or i not in r.vertex_set or j not in r.vertex_set:
             raise InvariantError(f"path record {sorted(r.vertex_set)} for {i}->{j}, k={k}")
@@ -239,7 +232,7 @@ def k_cycles(h: Hypergraph, i: int, k: int) -> list[WalkRecord]:
         raise ValueError(f"cycles need k >= 2, got {k}")
     sig = walk_signature(h)
     entry = _row_power(sig, _adjacency(h, sig), i - 1, k, 0, i - 1)
-    records = _extract_records(sig, entry, h.n)
+    records = _extract_records(sig, entry)
     for r in records:
         if len(r.vertex_set) != k or i not in r.vertex_set:
             raise InvariantError(f"cycle record {sorted(r.vertex_set)} at {i}, k={k}")
@@ -259,7 +252,7 @@ def k_trails(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
         raise ValueError(f"trails need k >= 1, got {k}")
     sig = trail_signature(h)
     entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i - 1,)), j - 1)
-    records = _extract_records(sig, entry, h.n)
+    records = _extract_records(sig, entry)
     for r in records:
         if len(r.edge_set) != k or i not in r.vertex_set:
             raise InvariantError(f"trail record {sorted(r.edge_set)} from {i}, k={k}")

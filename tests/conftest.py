@@ -85,9 +85,8 @@ def incident_edges(h: Hypergraph, v: int) -> tuple[int, ...]:
 
 
 def vertex_set(rep, key: int) -> frozenset:
-    """1-based vertex ids of the vertex labels in a packed key of a φ or σ representation."""
-    m = rep.edge_count
-    return frozenset(g - m + 1 for g in rep.element.signature.support(key) if g >= m)
+    """1-based vertex ids in a packed key of a φ or σ element: its block-1 read."""
+    return frozenset(rep.signature.support(key, 1))
 
 
 def records_to_dict(records) -> dict:

@@ -100,7 +100,7 @@ def test_criterion_1_worked_example_goldens(sample7):
         ),
         tsig.zero(),
     )
-    assert transversal_representation(sample7).element == want_sigma
+    assert transversal_representation(sample7) == want_sigma
 
     omega = build_omega(sample7)
     wsig = walk_signature(sample7)

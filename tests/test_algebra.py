@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import factorial
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +161,36 @@ class TestCanonicalForm:
             Element(sig, [(((5, 1),), 1)])
         with pytest.raises(ValueError):
             Element(sig, [(((0, 0),), 1)])
+
+
+    @pytest.mark.parametrize("coeff", [0.5, 2.5, 0.25, 1.0, 1j, "1", None])
+    def test_rejects_inexact_coefficients(self, coeff):
+        sig = Signature.zeons(2)
+        with pytest.raises(ValueError, match="coefficient"):
+            Element(sig, {((0, 1),): coeff})
+        with pytest.raises(ValueError, match="coefficient"):
+            Element.blade(sig, [0], coeff)
+        with pytest.raises(ValueError, match="coefficient"):
+            Element.scalar(sig, coeff)
+        assert Element.blade(sig, [0], Fraction(5, 2)) == Fraction(5, 2) * sig.gen(0)
+
+    @pytest.mark.parametrize("exp", [1.5, 2.0, 1.0, "1", None, True])
+    def test_encode_requires_int_exponents(self, exp):
+        for sig in (Signature.zeons(2), Signature.generalized_zeons([4, 4]), Signature.idempotents(2)):
+            with pytest.raises(ValueError, match="exponent"):
+                sig.encode(((0, exp),))
+            with pytest.raises(ValueError, match="exponent"):
+                Element(sig, [(((1, 1), (0, exp)), 1)])
+
+    @pytest.mark.parametrize("gid", [-1, 3, 7, 1.0, "0", None])
+    def test_encode_and_mask_reject_bad_ids(self, gid):
+        sig = Signature.zeons(3)
+        with pytest.raises(ValueError, match="out of range"):
+            sig.encode(((gid, 1),))
+        with pytest.raises(ValueError, match="out of range"):
+            sig.mask([0, gid])
+        assert sig.mask([]) == 0
+        assert sig.mask([0, 2]) == sig.encode(((2, 1), (0, 1)))
 
 
 class TestStructureQueries:
@@ -333,6 +365,21 @@ def as_element(sig, terms):
 
 
 @st.composite
+def block_lists(draw):
+    """1-3 signatures from the factories, empty ones included, to concatenate as blocks."""
+    parts = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        size = draw(st.integers(min_value=0, max_value=4))
+        kind = draw(st.sampled_from(["zeons", "idempotents", "generalized"]))
+        if kind == "generalized":
+            caps = draw(st.lists(st.sampled_from(BOUNDARY_INDICES), min_size=size, max_size=size))
+            parts.append(Signature.generalized_zeons(caps))
+        else:
+            parts.append(getattr(Signature, kind)(size))
+    return parts
+
+
+@st.composite
 def operand_pairs(draw):
     sig = draw(boundary_signatures())
     return sig, draw(exponent_terms(sig)), draw(exponent_terms(sig))
@@ -425,7 +472,7 @@ class TestPackedKernel:
         keys = set(as_element(sig, a_terms).packed)
         keys |= set((as_element(sig, a_terms) * as_element(sig, b_terms)).packed)
         for key in keys:
-            assert sig.support(key) == [g for g, _ in sig.decode(key)]
+            assert sig.support(key) == tuple(g for g, _ in sig.decode(key))
         # decode is built on support, so it is also checked on its own: a round
         # trip through encode, multi-bit exponents and any input order included
         rng = random.Random(seed)
@@ -436,14 +483,38 @@ class TestPackedKernel:
             monomial = [(g, rng.randint(1, (sig.caps[g] or 2) - 1)) for g in gids]
             assert sig.decode(sig.encode(monomial)) == tuple(sorted(monomial))
 
+    @given(block_lists(), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_block_reads_match_decode(self, parts, seed):
+        left = reduce(add, parts)  # (a + b) + c
+        right = reduce(lambda acc, part: part + acc, reversed(parts))  # a + (b + c)
+        starts = [sum(len(p) for p in parts[:i]) for i in range(len(parts))]
+        assert left.blocks == right.blocks == tuple(
+            range(start, start + len(p)) for start, p in zip(starts, parts)
+        )
+        assert left == right and Signature(left.caps).blocks == (range(len(left)),)
+        rng = random.Random(seed)
+        for _ in range(10):
+            gids = rng.sample(range(len(left)), rng.randint(0, len(left)))
+            monomial = [(g, rng.randint(1, (left.caps[g] or 2) - 1)) for g in gids]
+            key = left.encode(monomial)
+            assert right.encode(monomial) == key
+            ids = [g for g, _ in left.decode(key)]
+            assert left.support(key) == tuple(ids)
+            for b, block in enumerate(left.blocks):
+                want = tuple(g - block.start + 1 for g in ids if g in block)
+                assert left.support(key, b) == right.support(key, b) == want
+                # numbered as the blocks' default display subscripts
+                assert want == tuple(left.names[g][1] for g in ids if g in block)
+
     def test_support_of_multi_bit_fields(self):
         sig = Signature.generalized_zeons([2, 3, 5, 9]) + Signature.idempotents(2)
         for e3 in (1, 2):
             for e5 in range(1, 5):
                 for e9 in range(1, 9):
                     key = sig.encode(((1, e3), (2, e5), (3, e9), (5, 1)))
-                    assert sig.support(key) == [1, 2, 3, 5]
-        assert sig.support(0) == []
+                    assert sig.support(key) == (1, 2, 3, 5)
+        assert sig.support(0) == ()
 
     def test_grade_counts_generators_not_bits(self):
         # exponent 7 of an index-9 generator sets three bits of its field

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -709,3 +710,8 @@ class TestImports:
         assert set(hyperzeon.__all__) <= set(dir(hyperzeon))
         with pytest.raises(AttributeError):
             hyperzeon.no_such_name  # noqa: B018
+
+    def test_readme_counts_the_public_names(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        counts = re.findall(r"lists\s+the\s+(\d+)\s+public\s+names", readme)
+        assert counts == [str(len(hyperzeon.__all__))]

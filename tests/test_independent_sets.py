@@ -103,11 +103,11 @@ class TestWeakIndependentSets:
         # full fifth power, term for term: coefficient, edge-label exponents,
         # and surviving vertex sets
         rep = weak_representation(sample7)
-        power = rep.element**5
-        decode = rep.element.signature.decode
+        power = rep**5
+        decode = rep.signature.decode
         seen = {}
         for key, coeff in power.packed.items():
-            edge_part = tuple((g + 1, e) for g, e in decode(key) if g < rep.edge_count)
+            edge_part = tuple((g + 1, e) for g, e in decode(key) if g in rep.signature.blocks[0])
             seen[vertex_set(rep, key)] = (coeff, edge_part)
         assert seen == {
             frozenset({2, 5, 7}): (30, ((1, 2), (2, 2), (3, 1), (6, 1))),
@@ -240,19 +240,19 @@ class TestRepresentationStructure:
         # isolated vertex 4 alone gets a loop label, whose id follows the edges'
         graph = Hypergraph(4, PATH3.edges)
         rep = independent_set_representation(graph)
-        assert rep.edge_count == graph.m + 1
-        assert len(rep.element.terms) == 4
-        support = rep.element.signature.support
-        for key, coeff in rep.element.packed.items():
+        assert rep.signature.blocks[0] == range(graph.m + 1)
+        assert len(rep.terms) == 4
+        support = rep.signature.support
+        for key, coeff in rep.packed.items():
             assert coeff == 1
             verts = vertex_set(rep, key)
             assert len(verts) == 1
             v = next(iter(verts))
-            edges = {g for g in support(key) if g < rep.edge_count}
+            edges = {g for g in support(key) if g in rep.signature.blocks[0]}
             assert edges == (set(incident_edges(graph, v)) or {graph.m})
 
     def test_weak_representation_indices(self, sample7):
         rep = weak_representation(sample7)
-        sig = rep.element.signature
+        sig = rep.signature
         for idx, edge in enumerate(sample7.edges):
             assert sig.caps[idx] == max(len(edge), 2)

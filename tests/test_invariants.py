@@ -50,6 +50,24 @@ def test_mul_into_has_one_call_site_per_product_layer():
     ]
 
 
+def test_one_function_reads_the_bit_table():
+    # Signature.support is the one reader of a key's bit layout: every id an
+    # enumerator reports comes through it
+    readers = []
+    for path in sorted(SRC.glob("*.py")):
+
+        def visit(node, scope):
+            if isinstance(node, ast.Attribute) and node.attr == "_bit_gid" and isinstance(node.ctx, ast.Load):
+                readers.append(".".join(scope))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = [*scope, node.name]
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+    assert sorted(set(readers)) == ["algebra.Signature.support"]
+
+
 def test_bad_level_coefficient_raises_and_exits_two(monkeypatch, capsys):
     h = Hypergraph(4, [{1, 2}, {3, 4}])
     assert graph_independent_sets(h, 2) == [(1, 3), (1, 4), (2, 3), (2, 4)]

@@ -67,27 +67,27 @@ def blades_meeting_every_edge(h):
 def check_hypergraph(h):
     """Every representation of h equals its definition; the ones h's shape admits."""
     sigma = transversal_representation(h)
-    assert sigma.element == phi_by_definition(h, [None] * h.m, h.isolated_vertices())
-    assert sigma.edge_count == h.m
+    assert sigma == phi_by_definition(h, [None] * h.m, h.isolated_vertices())
+    assert sigma.signature.blocks[0] == range(h.m)
     assert incidence_representation(h) == gamma_by_definition(h)
     assert gamma_element(h) == blades_meeting_every_edge(h)
     if h.isolated_vertices():
         return
     singles = {v for e in h.edges if len(e) == 1 for v in e}
     weak = weak_representation(h)
-    assert weak.element == phi_by_definition(h, [max(len(e), 2) for e in h.edges], singles)
-    assert weak.edge_count == h.m
+    assert weak == phi_by_definition(h, [max(len(e), 2) for e in h.edges], singles)
+    assert weak.signature.blocks[0] == range(h.m)
     for k in (1, 2, 3):
         rep = k_independent_representation(h, k)
-        assert rep.element == phi_by_definition(h, [k + 1] * h.m)
-        assert rep.edge_count == h.m
+        assert rep == phi_by_definition(h, [k + 1] * h.m)
+        assert rep.signature.blocks[0] == range(h.m)
 
 
 def check_graph(g):
     g2 = with_loops(g)
     rep = independent_set_representation(g)
-    assert rep.element == phi_by_definition(g2, [2] * g2.m)
-    assert rep.edge_count == g2.m
+    assert rep == phi_by_definition(g2, [2] * g2.m)
+    assert rep.signature.blocks[0] == range(g2.m)
 
 
 def test_sample7(sample7):
@@ -105,15 +105,15 @@ def test_edge_cases(name):
 
 def test_edge_cases_show_their_feature():
     iso = transversal_representation(EDGE_CASES["isolated vertex"])
-    assert len(iso.element.packed) == 3  # no factor for vertex 4
-    assert set().union(*(vertex_set(iso, key) for key in iso.element.packed)) == {1, 2, 3}
+    assert len(iso.packed) == 3  # no factor for vertex 4
+    assert set().union(*(vertex_set(iso, key) for key in iso.packed)) == {1, 2, 3}
     single = weak_representation(EDGE_CASES["singleton edge"])
-    assert len(single.element.packed) == 2  # vertex 1 lies in the singleton edge
+    assert len(single.packed) == 2  # vertex 1 lies in the singleton edge
     gamma = incidence_representation(EDGE_CASES["repeated edge"])
     assert gamma.terms == {((0, 1), (1, 1)): 2, ((1, 1), (2, 1)): 1}
     wide = weak_representation(EDGE_CASES["4-vertex edge"])
-    assert wide.element.signature.caps[:2] == (4, 2)
-    assert wide.element.terms[((0, 1), (1, 1), (5, 1))] == 1  # vertex 4
+    assert wide.signature.caps[:2] == (4, 2)
+    assert wide.terms[((0, 1), (1, 1), (5, 1))] == 1  # vertex 4
 
 
 def test_random_hypergraphs():

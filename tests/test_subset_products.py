@@ -73,10 +73,10 @@ def seeds(draw):
 
 def _check_phi_identity(rep, k):
     """Terms of phi^k with k vertex labels are k! times the level-k subset products."""
-    sig = rep.element.signature
-    power = rep.element**k
+    sig = rep.signature
+    power = rep**k
     grade_k = {key: c for key, c in power.packed.items() if len(vertex_set(rep, key)) == k}
-    level = subset_level(sig, rep.element.packed, k)
+    level = subset_level(sig, rep.packed, k)
     assert grade_k == {key: factorial(k) * c for key, c in level.items()}
 
 
@@ -113,7 +113,7 @@ def test_first_full_blade_power_is_first_full_blade_level(seed):
     if not h.m:
         return
     rep = transversal_representation(h)
-    sig = rep.element.signature
+    sig = rep.signature
     full = sig.mask(range(h.m))
 
     def vertex_sets(terms):
@@ -122,10 +122,10 @@ def test_first_full_blade_power_is_first_full_blade_level(seed):
 
     first_level = next(
         (j, vertex_sets(level))
-        for j, level in subset_products(sig, rep.element.packed)
+        for j, level in subset_products(sig, rep.packed)
         if vertex_sets(level)
     )
-    power, k = rep.element, 1
+    power, k = rep, 1
     while not vertex_sets(power.packed):
-        power, k = power * rep.element, k + 1
+        power, k = power * rep, k + 1
     assert (k, vertex_sets(power.packed)) == first_level

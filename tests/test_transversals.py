@@ -6,6 +6,7 @@ from itertools import combinations
 from conftest import random_hypergraph, vertex_set
 from hyperzeon.algebra import Element, annihilates
 from hyperzeon.hypergraph import Hypergraph
+from hyperzeon.independent_sets import index_sets
 from hyperzeon.matchings import incidence_representation
 from hyperzeon.oracle import brute_transversals
 from hyperzeon.transversals import (
@@ -34,31 +35,31 @@ class TestRepresentation:
             + blade(sig, sample7, [4, 5, 6], 6)
             + blade(sig, sample7, [2], 7)
         )
-        assert rep.element == want
+        assert rep == want
         # level 1 of sigma, read back by the shared reader: one factor per vertex
-        assert rep.index_sets(rep.element.packed, 1) == [(v,) for v in range(1, 8)]
+        assert index_sets(rep.signature, rep.packed, 1) == [(v,) for v in range(1, 8)]
 
     def test_single_edge(self):
         h = Hypergraph(2, [{1, 2}])
         rep = transversal_representation(h)
         sig = transversal_signature(h)
-        assert rep.element == blade(sig, h, [1], 1) + blade(sig, h, [1], 2)
+        assert rep == blade(sig, h, [1], 1) + blade(sig, h, [1], 2)
 
     def test_empty_hypergraph(self):
         rep = transversal_representation(Hypergraph(3, []))
-        assert not rep.element
+        assert not rep
 
     def test_isolated_vertices_removed(self):
         h = Hypergraph(4, [{1, 3}])
         rep = transversal_representation(h)
-        assert len(rep.element.terms) == 2
+        assert len(rep.terms) == 2
         # no term carries the label of the isolated vertices 2 and 4
-        assert set().union(*(vertex_set(rep, key) for key in rep.element.packed)) == {1, 3}
+        assert set().union(*(vertex_set(rep, key) for key in rep.packed)) == {1, 3}
 
     def test_exponents_never_exceed_one(self, sample7):
         # sigma^2 = sigma structurally: idempotent collapse everywhere
         rep = transversal_representation(sample7)
-        for power in (rep.element, rep.element**2, rep.element**3):
+        for power in (rep, rep**2, rep**3):
             for mono in power.terms:
                 assert all(exp == 1 for _, exp in mono)
 
