@@ -45,7 +45,8 @@ class Signature:
     ``blocks`` keeps the id ranges of the operands' blocks, in order, so
     (a + b) + c and a + (b + c) have the same three; a signature built any
     other way is one block.  Two signatures are equal when their caps agree;
-    names are cosmetic, kept per generator as (symbol, subscript) for rendering.
+    ``names`` are cosmetic, one (symbol, id within its block) per generator,
+    the symbol being ``symbol`` or by default ζ, ν or ε after the cap.
 
     Packed monomials: generator g owns a bit field starting at ``_shifts[g]``,
     fields laid out in id order from the low bits up to ``_shifts[G]``.  An
@@ -61,18 +62,15 @@ class Signature:
         "_idem", "_bias", "_guard",
     )
 
-    def __init__(self, caps: Iterable[int | None], names=None):
+    def __init__(self, caps: Iterable[int | None], symbol: str | None = None):
         self.caps = tuple(caps)
         for cap in self.caps:
             if cap is not None and (type(cap) is not int or cap < 2):
                 raise ValueError(f"a cap must be None or an int >= 2, got {cap!r}")
-        if names is None:
-            names = tuple(self._default_name(cap, i) for i, cap in enumerate(self.caps))
-        else:
-            names = tuple((str(s), int(k)) for s, k in names)
-            if len(names) != len(self.caps):
-                raise ValueError("one display name required per generator")
-        self.names = names
+        self.names = tuple(
+            (symbol or ("ε" if cap is None else "ζ" if cap == 2 else "ν"), i)
+            for i, cap in enumerate(self.caps, 1)
+        )
         shifts, values, clear, bit_gid = [], [], [], []
         idem = bias = guard = 0
         shift = 0
@@ -101,32 +99,26 @@ class Signature:
         self.blocks = (range(len(self.caps)),)
         self._block_masks = ((1 << shift) - 1,)  # whole fields: keys never set a guard bit
 
-    @staticmethod
-    def _default_name(cap: int | None, i: int):
-        if cap is None:
-            return ("ε", i + 1)
-        return ("ζ", i + 1) if cap == 2 else ("ν", i + 1)
-
     @classmethod
     def zeons(cls, n: int, symbol: str = "ζ") -> "Signature":
         """n generators that square to zero."""
-        return cls([2] * n, [(symbol, i + 1) for i in range(n)])
+        return cls([2] * n, symbol)
 
     @classmethod
     def generalized_zeons(cls, indices: Iterable[int], symbol: str = "ν") -> "Signature":
         """One nilpotent generator per entry, of that nilpotency index."""
-        caps = list(indices)
-        return cls(caps, [(symbol, i + 1) for i in range(len(caps))])
+        return cls(indices, symbol)
 
     @classmethod
     def idempotents(cls, n: int, symbol: str = "ε") -> "Signature":
         """n generators that square to themselves."""
-        return cls([None] * n, [(symbol, i + 1) for i in range(n)])
+        return cls([None] * n, symbol)
 
     def __add__(self, other: "Signature") -> "Signature":
         if not isinstance(other, Signature):
             return NotImplemented
-        out = Signature(self.caps + other.caps, self.names + other.names)
+        out = Signature(self.caps + other.caps)
+        out.names = self.names + other.names
         n, width = len(self), self._shifts[-1]
         out.blocks = self.blocks + tuple(range(b.start + n, b.stop + n) for b in other.blocks)
         out._block_masks = self._block_masks + tuple(m << width for m in other._block_masks)
@@ -206,18 +198,21 @@ class Signature:
             key &= clear[g]
         return tuple(out)
 
-    def mask(self, gids: Iterable[int]) -> int:
-        """The value bits of the given generators' fields.
+    def mask(self, ids: Iterable[int], block: int | None = None) -> int:
+        """The packed key of the product of the given generators, each to the first power.
 
-        ``key & sig.mask(gids)`` keeps only those generators of a packed key.
-        Idempotent and index-2 fields hold a single bit, so over such
+        Without ``block`` ids are 0-based over the whole signature; with block
+        b they are numbered from 1 within ``blocks[b]``, exactly as
+        :meth:`support` reads them back.  The one block-aware writer of keys,
+        as ``support`` is the one reader.  Over idempotent and index-2
         generators ``key & m == m`` tests that all of them are present.
         """
-        out = 0
-        for g in gids:
-            if type(g) is not int or not 0 <= g < len(self.caps):
-                raise ValueError(f"generator id {g!r} out of range")
-            out |= self._values[g] << self._shifts[g]
+        span, first = (range(len(self.caps)), 0) if block is None else (self.blocks[block], 1)
+        shifts, out = self._shifts, 0
+        for i in ids:
+            if type(i) is not int or not 0 <= i - first < len(span):
+                raise ValueError(f"generator id {i!r} out of range")
+            out |= 1 << shifts[span[i - first]]
         return out
 
     def render_monomial(self, monomial: Monomial) -> str:
@@ -517,8 +512,8 @@ class Element:
 
 def nilpotency_index(u: Element, cap: int) -> int | None:
     """Least k <= cap with u**k == 0, or None if no power up to cap vanishes."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"cap must be an int >= 1, got {cap!r}")
     p = u
     for k in range(1, cap + 1):
         if not p:
@@ -535,11 +530,9 @@ def annihilates(blade_gids: Iterable[int], u: Element) -> bool:
     """
     gids = tuple(blade_gids)
     sig = u.signature
-    for g in gids:
-        if not 0 <= g < len(sig):
-            raise ValueError(f"generator id {g} out of range")
-        if sig.caps[g] != 2:
-            raise ValueError("annihilator blades must use index-2 nilpotent generators")
+    key = sig.mask(gids)
+    if any(sig.caps[g] != 2 for g in gids):
+        raise ValueError("annihilator blades must use index-2 nilpotent generators")
     if len(set(gids)) != len(gids):
         raise ValueError("annihilator blades must be square-free")
-    return not Element.blade(sig, gids) * u
+    return not Element.from_packed(sig, {key: 1}) * u

@@ -53,13 +53,14 @@ def level_sets(element: Element, k: int) -> list[tuple]:
 def phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
     """φ: the sum over vertices not in ``skip`` of (incident edge labels) x (the vertex's label).
 
-    Each vertex's packed key starts as its own label; each edge ORs its exponent-1
-    label (not its multi-bit mask) into the keys of its vertices.
+    Each vertex's packed key starts as its own label (vertex v of block 1);
+    each edge ORs its first-power label (edge l of block 0) into the keys of
+    its vertices.
     """
-    m, encode = h.m, signature.encode
-    keys = [encode(((m + v, 1),)) for v in range(h.n)]
-    for l, e in enumerate(h.edges):
-        bit = encode(((l, 1),))
+    mask = signature.mask
+    keys = [mask((v,), 1) for v in range(1, h.n + 1)]
+    for l, e in enumerate(h.edges, 1):
+        bit = mask((l,), 0)
         for v in e:
             keys[v - 1] |= bit
     return Element.from_packed(signature, {key: 1 for v, key in enumerate(keys, 1) if v not in skip})

@@ -30,9 +30,9 @@ def incidence_signature(h: Hypergraph) -> Signature:
 
 
 def incidence_representation(h: Hypergraph) -> Element:
-    """γ: a unit blade (packed vertex mask) per hyperedge; a repeated edge gets coefficient 2."""
+    """γ: the unit blade of each hyperedge's vertices (block 0); a repeated edge gets coefficient 2."""
     sig = incidence_signature(h)
-    return Element.from_packed(sig, dict(Counter(sig.mask(v - 1 for v in e) for e in h.edges)))
+    return Element.from_packed(sig, dict(Counter(sig.mask(e, 0) for e in h.edges)))
 
 
 def k_matchings(h: Hypergraph, k: int) -> list[tuple[tuple, int]]:
@@ -59,7 +59,7 @@ def perfect_matching_count(h: Hypergraph) -> int:
         return 1  # the empty family covers no vertex
     gamma = incidence_representation(h)
     sig = gamma.signature
-    full = sig.mask(range(h.n))
+    full = sig.mask(range(1, h.n + 1), 0)
     r = h.uniform_rank()
     if r is None:
         return sum(level.get(full, 0) for _, level in subset_products(sig, gamma.packed))

@@ -44,7 +44,7 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
         return 0, [()]
     sigma = transversal_representation(h)
     sig = sigma.signature
-    full_edges = sig.mask(range(h.m))
+    full_edges = sig.mask(range(1, h.m + 1), 0)
     for j, level in subset_products(sig, sigma.packed):
         full = {key: c for key, c in level.items() if key & full_edges == full_edges}
         hits = index_sets(sig, full, j)

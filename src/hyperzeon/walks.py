@@ -98,14 +98,16 @@ def _adjacency(h: Hypergraph, sig: Signature) -> list[dict]:
     """Sparse rows: (i, j) -> label of vertex j times the sum of labels of edges containing i and j.
 
     Filled edge by edge over each edge's vertex pairs, so only nonzero entries
-    are stored.  The rows equal X·Z of :func:`_block_rows`, but forming that
-    product through :func:`_row_times_matrix` costs 3-6 times this fill.
+    are stored.  Keys are written by block id (vertex v of block 0, edge l of
+    block 1); row and column indices are 0-based.  The rows equal X·Z of
+    :func:`_block_rows`, but forming that product through
+    :func:`_row_times_matrix` costs 3-6 times this fill.
     """
-    n, mask = h.n, sig.mask
-    rows = [{} for _ in range(n)]
-    for l, e in enumerate(h.edges):
-        ebit = mask((n + l,))
-        keys = [(v - 1, mask((v - 1,)) | ebit) for v in e]
+    mask = sig.mask
+    rows = [{} for _ in range(h.n)]
+    for l, e in enumerate(h.edges, 1):
+        ebit = mask((l,), 1)
+        keys = [(v - 1, mask((v,), 0) | ebit) for v in e]
         for a, _ in keys:
             row = rows[a]
             for b, key in keys:
@@ -117,11 +119,11 @@ def _block_rows(h: Hypergraph, sig: Signature) -> list[dict]:
     """Sparse rows of [[0, X], [Z, 0]]: X holds edge labels (v, n+l), Z vertex labels (n+l, v)."""
     n, mask = h.n, sig.mask
     rows = [{} for _ in range(n + h.m)]
-    for l, e in enumerate(h.edges):
-        ebit = mask((n + l,))
+    for l, e in enumerate(h.edges, 1):
+        ebit, r = mask((l,), 1), n + l - 1
         for v in e:
-            rows[v - 1][n + l] = {ebit: 1}
-            rows[n + l][v - 1] = {mask((v - 1,)): 1}
+            rows[v - 1][r] = {ebit: 1}
+            rows[r][v - 1] = {mask((v,), 0): 1}
     return rows
 
 
@@ -213,7 +215,7 @@ def k_paths(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     if k < 1:
         raise ValueError(f"paths need k >= 1, got {k}")
     sig = walk_signature(h)
-    entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i - 1,)), j - 1)
+    entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i,), 0), j - 1)
     records = _extract_records(sig, entry)
     for r in records:
         if len(r.vertex_set) != k + 1 or i not in r.vertex_set or j not in r.vertex_set:
@@ -251,7 +253,7 @@ def k_trails(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     if k < 1:
         raise ValueError(f"trails need k >= 1, got {k}")
     sig = trail_signature(h)
-    entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i - 1,)), j - 1)
+    entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i,), 0), j - 1)
     records = _extract_records(sig, entry)
     for r in records:
         if len(r.edge_set) != k or i not in r.vertex_set:

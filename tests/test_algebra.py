@@ -182,13 +182,16 @@ class TestCanonicalForm:
             with pytest.raises(ValueError, match="exponent"):
                 Element(sig, [(((1, 1), (0, exp)), 1)])
 
-    @pytest.mark.parametrize("gid", [-1, 3, 7, 1.0, "0", None])
+    @pytest.mark.parametrize("gid", [-1, 3, 7, 1.0, "0", None, True])
     def test_encode_and_mask_reject_bad_ids(self, gid):
         sig = Signature.zeons(3)
         with pytest.raises(ValueError, match="out of range"):
             sig.encode(((gid, 1),))
         with pytest.raises(ValueError, match="out of range"):
             sig.mask([0, gid])
+        # annihilates checks its ids through mask
+        with pytest.raises(ValueError, match="out of range"):
+            annihilates([gid], sig.gen(0) + sig.gen(1))
         assert sig.mask([]) == 0
         assert sig.mask([0, 2]) == sig.encode(((2, 1), (0, 1)))
 
@@ -251,6 +254,11 @@ class TestStructureQueries:
         mixed = Signature.zeons(1) + Signature.idempotents(1)
         with pytest.raises(ValueError):
             annihilates([1], mixed.gen(0))
+
+    @pytest.mark.parametrize("cap", [0, -1, "3", 1.5, None, True])
+    def test_nilpotency_index_rejects_bad_caps(self, cap):
+        with pytest.raises(ValueError, match="cap"):
+            nilpotency_index(Signature.zeons(2).gen(0), cap)
 
 
 class TestSignatures:
@@ -504,8 +512,21 @@ class TestPackedKernel:
             for b, block in enumerate(left.blocks):
                 want = tuple(g - block.start + 1 for g in ids if g in block)
                 assert left.support(key, b) == right.support(key, b) == want
-                # numbered as the blocks' default display subscripts
+                # numbered as the display subscripts
                 assert want == tuple(left.names[g][1] for g in ids if g in block)
+        # mask writes block ids back as support reads them: the first-power
+        # blade on the absolute ids, whatever the fields' widths
+        for b, block in enumerate(left.blocks):
+            ids = rng.sample(range(1, len(block) + 1), rng.randint(0, len(block)))
+            key = left.mask(ids, b)
+            assert left.support(key, b) == tuple(sorted(ids))
+            gids = [block.start + i - 1 for i in ids]
+            first = [(g, 1) for g in gids]
+            assert key == right.mask(ids, b) == left.encode(first) == right.encode(first)
+            assert Element.from_packed(left, {key: 1}) == Element.blade(left, gids)
+            for bad in (0, len(block) + 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    left.mask([bad], b)
 
     def test_support_of_multi_bit_fields(self):
         sig = Signature.generalized_zeons([2, 3, 5, 9]) + Signature.idempotents(2)

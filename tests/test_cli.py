@@ -1,5 +1,6 @@
 """End-to-end command behavior: reports, exit codes, input handling."""
 
+import ast
 import io
 import json
 import os
@@ -715,3 +716,29 @@ class TestImports:
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         counts = re.findall(r"lists\s+the\s+(\d+)\s+public\s+names", readme)
         assert counts == [str(len(hyperzeon.__all__))]
+
+
+def test_readme_quick_start_shows_its_output():
+    # each `print(expr)  # text` or `expr  # text` line of README's python
+    # blocks shows what it prints or evaluates to; "..." marks a partial view
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 2
+    shown = []
+    for block in blocks:
+        lines, namespace = block.encode().splitlines(), {}
+        for stmt in ast.parse(block).body:
+            out = io.StringIO()
+            with redirect_stdout(out):
+                if isinstance(stmt, ast.Expr):
+                    value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+                else:
+                    exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            comment = lines[stmt.end_lineno - 1][stmt.end_col_offset:].decode().strip()
+            if not isinstance(stmt, ast.Expr) or not comment.startswith("#") or "..." in comment:
+                continue
+            printed = isinstance(stmt.value, ast.Call) and getattr(stmt.value.func, "id", None) == "print"
+            text = out.getvalue().rstrip("\n") if printed else repr(value)
+            assert text == comment[1:].strip()
+            shown.append(text)
+    assert {"ν2^2 + 4·ν{1,2}", "ε2 + 16·ε6 - 8·ε{2,6}", "(2, [(1, 6)])"} <= set(shown)

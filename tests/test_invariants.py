@@ -26,23 +26,29 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_mul_into_has_one_call_site_per_product_layer():
-    # the public algebra, the walk and matrix products, and the subset levels
-    sites = []
+def _scoped_nodes():
+    """(dotted enclosing scope, node) for every AST node of the package, e.g. ("walks._adjacency", call)."""
     for path in sorted(SRC.glob("*.py")):
-
-        def visit(node, scope):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "mul_into":
-                    sites.append(".".join(scope))
+        stack = [([path.stem], ast.parse(path.read_text(encoding="utf-8")))]
+        while stack:
+            scope, node = stack.pop()
+            yield ".".join(scope), node
             if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope = [*scope, node.name]
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
+            stack.extend((scope, child) for child in ast.iter_child_nodes(node))
 
-        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
+
+def _called(node) -> str | None:
+    """The called name of a call node (``f`` of ``f(...)`` and of ``x.f(...)``), else None."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return None
+
+
+def test_mul_into_has_one_call_site_per_product_layer():
+    # the public algebra, the walk and matrix products, and the subset levels
+    sites = [scope for scope, node in _scoped_nodes() if _called(node) == "mul_into"]
     assert sorted(sites) == [
         "algebra.Element.__mul__",
         "algebra.subset_products",
@@ -53,19 +59,34 @@ def test_mul_into_has_one_call_site_per_product_layer():
 def test_one_function_reads_the_bit_table():
     # Signature.support is the one reader of a key's bit layout: every id an
     # enumerator reports comes through it
-    readers = []
-    for path in sorted(SRC.glob("*.py")):
+    readers = {
+        scope
+        for scope, node in _scoped_nodes()
+        if isinstance(node, ast.Attribute) and node.attr == "_bit_gid" and isinstance(node.ctx, ast.Load)
+    }
+    assert readers == {"algebra.Signature.support"}
 
-        def visit(node, scope):
-            if isinstance(node, ast.Attribute) and node.attr == "_bit_gid" and isinstance(node.ctx, ast.Load):
-                readers.append(".".join(scope))
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                scope = [*scope, node.name]
-            for child in ast.iter_child_nodes(node):
-                visit(child, scope)
 
-        visit(ast.parse(path.read_text(encoding="utf-8")), [path.stem])
-    assert sorted(set(readers)) == ["algebra.Signature.support"]
+def test_tuple_monomials_are_encoded_only_by_the_element_constructor():
+    # any reference to .encode, so an alias such as `encode = sig.encode` counts too
+    users = {scope for scope, node in _scoped_nodes() if isinstance(node, ast.Attribute) and node.attr == "encode"}
+    assert users == {"algebra.Element.__init__"}
+
+
+ENUMERATORS = ("walks", "independent_sets", "matchings", "transversals")
+
+
+def test_enumerators_write_every_key_by_block():
+    # Signature.mask(ids, block) is the one block-aware writer: no enumerator
+    # adds a block start to an id or makes an id 0-based to build a key
+    calls = [
+        (scope, node)
+        for scope, node in _scoped_nodes()
+        if _called(node) == "mask" and scope.split(".")[0] in ENUMERATORS
+    ]
+    assert {scope.split(".")[0] for scope, _ in calls} == set(ENUMERATORS)
+    unblocked = [scope for scope, node in calls if len(node.args) + len(node.keywords) != 2]
+    assert unblocked == []
 
 
 def test_bad_level_coefficient_raises_and_exits_two(monkeypatch, capsys):
