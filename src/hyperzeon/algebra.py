@@ -179,6 +179,12 @@ class Signature:
         shifts, values = self._shifts, self._values
         return tuple((g, (key >> shifts[g]) & values[g]) for g in self.support(key))
 
+    def _block(self, block) -> range:
+        """The id range of block ``block``, an int index into ``blocks``; ValueError otherwise."""
+        if type(block) is not int or not 0 <= block < len(self.blocks):
+            raise ValueError(f"block {block!r} out of range")
+        return self.blocks[block]
+
     def support(self, key: int, block: int | None = None) -> tuple[int, ...]:
         """The ids of the generators present in a packed key, ascending, each once.
 
@@ -188,8 +194,8 @@ class Signature:
         """
         base = 0
         if block is not None:
+            base = self._block(block).start - 1
             key &= self._block_masks[block]
-            base = self.blocks[block].start - 1
         out = []
         bit_gid, clear = self._bit_gid, self._clear
         while key:
@@ -207,7 +213,7 @@ class Signature:
         as ``support`` is the one reader.  Over idempotent and index-2
         generators ``key & m == m`` tests that all of them are present.
         """
-        span, first = (range(len(self.caps)), 0) if block is None else (self.blocks[block], 1)
+        span, first = (range(len(self.caps)), 0) if block is None else (self._block(block), 1)
         shifts, out = self._shifts, 0
         for i in ids:
             if type(i) is not int or not 0 <= i - first < len(span):

@@ -190,9 +190,26 @@ def _row_power(sig: Signature, rows: list[dict], i: int, k: int, start: int, col
 
 
 def _extract_records(sig: Signature, entry: dict) -> list[WalkRecord]:
-    """One record per term (vertex ids from block 0, edge ids from block 1), sorted."""
-    support = sig.support
-    records = [WalkRecord(support(key, 0), support(key, 1), c) for key, c in entry.items()]
+    """One record per term (vertex ids from block 0, edge ids from block 1), sorted.
+
+    Each distinct vertex part and edge part of the keys is read through
+    ``support`` once, and records with equal parts share its tuple.  A part
+    is the key ANDed with the block's first-power bits from ``Signature.mask``,
+    which is the whole part only because every walk and trail generator is an
+    index-2 nilpotent or an idempotent, whose value field is one bit wide.
+    """
+    support, vertex_sets, edge_sets = sig.support, {}, {}
+    vmask, emask = (sig.mask(range(1, len(sig.blocks[b]) + 1), b) for b in (0, 1))
+    records = []
+    for key, c in entry.items():
+        v, e = key & vmask, key & emask
+        vs = vertex_sets.get(v)
+        if vs is None:
+            vs = vertex_sets[v] = support(v, 0)
+        es = edge_sets.get(e)
+        if es is None:
+            es = edge_sets[e] = support(e, 1)
+        records.append(WalkRecord(vs, es, c))
     records.sort()
     return records
 

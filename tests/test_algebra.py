@@ -195,6 +195,22 @@ class TestCanonicalForm:
         assert sig.mask([]) == 0
         assert sig.mask([0, 2]) == sig.encode(((2, 1), (0, 1)))
 
+    @pytest.mark.parametrize("block", [1, 2, -1, "0", 1.0, True, False])
+    def test_mask_and_support_reject_bad_blocks(self, block):
+        # a block is None or an int index into blocks: a bool, a negative
+        # index (which would reach the last block) or a missing block raises
+        for sig in (Signature.zeons(2), Signature.zeons(2) + Signature.idempotents(3)):
+            if type(block) is int and 0 <= block < len(sig.blocks):
+                continue
+            with pytest.raises(ValueError, match="block"):
+                sig.mask([1], block)
+            with pytest.raises(ValueError, match="block"):
+                sig.support(3 | 16, block)
+        # key 16 is the first generator of block 1, generator 2 overall
+        sig = Signature.zeons(2) + Signature.idempotents(3)
+        assert sig.mask([1], 1) == 16
+        assert sig.support(16, 1) == (1,) and sig.support(16) == (2,)
+
 
 class TestStructureQueries:
     def test_scalar_and_dual_parts(self):

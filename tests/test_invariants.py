@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hyperzeon import independent_sets, transversals
+from hyperzeon.algebra import Signature
 from hyperzeon.cli import main
 from hyperzeon.errors import InvariantError
 from hyperzeon.hypergraph import Hypergraph
@@ -65,6 +66,20 @@ def test_one_function_reads_the_bit_table():
         if isinstance(node, ast.Attribute) and node.attr == "_bit_gid" and isinstance(node.ctx, ast.Load)
     }
     assert readers == {"algebra.Signature.support"}
+
+
+def test_only_algebra_reads_the_signature_layout():
+    # part masks and block ranges come from Signature.mask and blocks, so no
+    # other module depends on how Signature lays its fields out
+    private = {name for name in Signature.__slots__ if name.startswith("_")}
+    assert {"_block_masks", "_shifts", "_clear", "_bit_gid"} <= private
+    readers = {
+        scope
+        for scope, node in _scoped_nodes()
+        if isinstance(node, ast.Attribute) and node.attr in private and isinstance(node.ctx, ast.Load)
+        and not scope.startswith("algebra.")
+    }
+    assert readers == set()
 
 
 def test_tuple_monomials_are_encoded_only_by_the_element_constructor():

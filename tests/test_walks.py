@@ -166,9 +166,10 @@ class TestPaths:
 
     def test_contraction_matches_full_power(self, sample7):
         # each walk kind, read from its single entry, rebuilds that entry of
-        # the full matrix power; on the path 1-2-3 no path or trail takes a
-        # third step, so at k = 4 and 5 their rows vanish before the column
-        # step; in EDGE_CASES the isolated vertex 1 has an empty row
+        # the full matrix power, for odd and even k up to n + 2; on the path
+        # 1-2-3 no path or trail takes a third step, so from k = 4 on their
+        # rows vanish before the column step; in EDGE_CASES the isolated
+        # vertex 1 has an empty row
         path3 = Hypergraph(3, [[1, 2], [2, 3]])
         for h, pairs in (
             (sample7, [(3, 4), (1, 6), (2, 5)]),
@@ -177,7 +178,7 @@ class TestPaths:
         ):
             sig, tsig = walk_signature(h), trail_signature(h)
             omega, trail = build_omega(h), build_trail_matrix(h)
-            for k in range(1, 6):
+            for k in range(1, h.n + 3):
                 omega_k, trail_k = omega.power(k), trail.power(k)
                 for i, j in pairs:
                     paths = rebuild(sig, h, k_paths(h, i, j, k))
@@ -351,6 +352,32 @@ class TestSparseRows:
                     for col in range(h.n):
                         got = walks._row_power(sig, rows, i, k, sig.mask((i,)), col)
                         assert list(got.items()) == list(full.get(col, {}).items())
+
+    def test_extraction_reads_each_part_once(self):
+        # four vertices joined pairwise by three parallel edges: the k = 3
+        # paths from 1 to 4 are 27 terms over one vertex set, and the trails
+        # from 1 to 1 repeat edge sets under several vertex sets
+        h = Hypergraph(4, [list(p) for p in [(1, 2), (2, 3), (3, 4), (1, 4)] for _ in range(3)])
+        for signature, i, j, k in ((walk_signature, 1, 4, 3), (trail_signature, 1, 1, 3)):
+            sig = signature(h)
+            rows = walks._adjacency(h, sig)
+            entry = walks._row_power(sig, rows, i - 1, k, sig.mask((i,), 0), j - 1)
+            support = sig.support
+            want = sorted(WalkRecord(support(key, 0), support(key, 1), c) for key, c in entry.items())
+            got = walks._extract_records(sig, entry)
+            assert got == want
+            vertex_sets, edge_sets = {}, {}
+            for r in got:
+                assert vertex_sets.setdefault(r.vertex_set, r.vertex_set) is r.vertex_set
+                assert edge_sets.setdefault(r.edge_set, r.edge_set) is r.edge_set
+            assert len(got) > len(vertex_sets)
+
+    def test_part_masks_cover_whole_fields(self, sample7):
+        # _extract_records takes a key's part as key & mask(ids, block), which
+        # sets one bit per field: that is the whole part only while every walk
+        # and trail generator is an index-2 nilpotent or an idempotent
+        for signature in (walk_signature, trail_signature):
+            assert set(signature(sample7).caps) <= {2, None}
 
 
 class TestRecordType:
