@@ -55,11 +55,11 @@ class Signature:
     carries a bias of 2**v - c.  Adding two exponents plus the bias sets the
     guard bit exactly when their sum reaches c, so one addition multiplies all
     nilpotent fields at once and one mask test finds a vanished product.
+    Its tables are per field or per bit: O(width) memory.
     """
 
     __slots__ = (
-        "caps", "names", "blocks", "_shifts", "_values", "_clear", "_bit_gid", "_block_masks",
-        "_idem", "_bias", "_guard",
+        "caps", "names", "blocks", "_shifts", "_values", "_bit_gid", "_idem", "_bias", "_guard",
     )
 
     def __init__(self, caps: Iterable[int | None], symbol: str | None = None):
@@ -71,7 +71,7 @@ class Signature:
             (symbol or ("ε" if cap is None else "ζ" if cap == 2 else "ν"), i)
             for i, cap in enumerate(self.caps, 1)
         )
-        shifts, values, clear, bit_gid = [], [], [], []
+        shifts, values, bit_gid = [], [], []
         idem = bias = guard = 0
         shift = 0
         for gid, cap in enumerate(self.caps):
@@ -85,19 +85,16 @@ class Signature:
                 v = width = 1
                 idem |= 1 << shift
             values.append((1 << v) - 1)
-            clear.append(~(((1 << width) - 1) << shift))
             bit_gid.extend([gid] * width)
             shift += width
         shifts.append(shift)
         self._shifts = tuple(shifts)
         self._values = tuple(values)  # value-bit mask of each field, unshifted
-        self._clear = tuple(clear)  # AND-mask removing each whole field
         self._bit_gid = tuple(bit_gid)
         self._idem = idem
         self._bias = bias
         self._guard = guard
         self.blocks = (range(len(self.caps)),)
-        self._block_masks = ((1 << shift) - 1,)  # whole fields: keys never set a guard bit
 
     @classmethod
     def zeons(cls, n: int, symbol: str = "ζ") -> "Signature":
@@ -119,9 +116,8 @@ class Signature:
             return NotImplemented
         out = Signature(self.caps + other.caps)
         out.names = self.names + other.names
-        n, width = len(self), self._shifts[-1]
+        n = len(self)
         out.blocks = self.blocks + tuple(range(b.start + n, b.stop + n) for b in other.blocks)
-        out._block_masks = self._block_masks + tuple(m << width for m in other._block_masks)
         return out
 
     def __len__(self) -> int:
@@ -190,18 +186,22 @@ class Signature:
 
         With ``block`` b, only those in ``blocks[b]``, numbered from 1 within
         it as the default display subscripts are.  The one reader of a key's
-        bit layout: each generator found clears its whole field.
+        bit layout: it shifts the block down to bit 0, then past each field
+        found.  A negative key or one past the last field raises ValueError.
         """
-        base = 0
-        if block is not None:
-            base = self._block(block).start - 1
-            key &= self._block_masks[block]
+        span, first = (range(len(self.caps)), 0) if block is None else (self._block(block), 1)
+        shifts, bit_gid = self._shifts, self._bit_gid
+        if key < 0 or key.bit_length() > shifts[-1]:
+            raise ValueError("key out of range")
+        base = span.start - first
+        pos = shifts[span.start]
+        key = (key >> pos) & ((1 << (shifts[span.stop] - pos)) - 1)
         out = []
-        bit_gid, clear = self._bit_gid, self._clear
         while key:
-            g = bit_gid[(key & -key).bit_length() - 1]
+            g = bit_gid[pos + (key & -key).bit_length() - 1]
             out.append(g - base)
-            key &= clear[g]
+            key >>= shifts[g + 1] - pos
+            pos = shifts[g + 1]
         return tuple(out)
 
     def mask(self, ids: Iterable[int], block: int | None = None) -> int:
@@ -252,10 +252,10 @@ def mul_into(signature: Signature, acc: dict, a: Mapping, b: Mapping) -> dict:
     idem, bias, guard = signature._idem, signature._bias, signature._guard
     # s = a + (b & N) + BIAS: no field carries out, so a's idempotent bits pass
     # through the sum unchanged and b's are OR-ed in afterwards
-    inner = [((m & ~idem) + bias, m & idem, c) for m, c in b.items()]
-    get = acc.get
-    for ma, ca in a.items():
-        for bn, bi, cb in inner:
+    get, items = acc.get, a.items()
+    for mb, cb in b.items():
+        bn, bi = (mb & ~idem) + bias, mb & idem
+        for ma, ca in items:
             s = ma + bn
             if s & guard:
                 continue

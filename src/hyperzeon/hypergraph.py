@@ -159,11 +159,16 @@ class Hypergraph:
 
     def non_adjacency_graph(self) -> "Hypergraph":
         """Graph on 1..n joining vertex pairs that share no edge."""
+        # near[v]: v and every vertex that shares an edge with it
+        near = [set() for _ in range(self.n + 1)]
+        for e in self.edges:
+            for v in e:
+                near[v] |= e
         pairs = [
             [u, v]
             for u in range(1, self.n + 1)
             for v in range(u + 1, self.n + 1)
-            if not self.adjacent(u, v)
+            if v not in near[u]
         ]
         return Hypergraph(self.n, pairs)
 

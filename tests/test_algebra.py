@@ -1,6 +1,7 @@
 """Kernel arithmetic: rewrite rules, ring axioms, structure queries, rendering."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from math import factorial
@@ -211,6 +212,16 @@ class TestCanonicalForm:
         assert sig.mask([1], 1) == 16
         assert sig.support(16, 1) == (1,) and sig.support(16) == (2,)
 
+    @pytest.mark.parametrize("key", [-1, -(1 << 20), 1 << 8, 1 << 20, (1 << 20) | 1])
+    @pytest.mark.parametrize("block", [None, 0, 1])
+    def test_support_rejects_bad_keys(self, key, block):
+        # the layout is 8 bits wide: three 2-bit zeon fields, two idempotent bits
+        sig = Signature.zeons(3) + Signature.idempotents(2)
+        with pytest.raises(ValueError, match="key out of range"):
+            sig.support(key, block)
+        # every bit below the last field's end is read, guard bits included
+        assert sig.support((1 << 8) - 1) == (0, 1, 2, 3, 4)
+
 
 class TestStructureQueries:
     def test_scalar_and_dual_parts(self):
@@ -335,21 +346,35 @@ class TestRendering:
 BOUNDARY_INDICES = (2, 3, 4, 5, 8, 9)
 
 
+# Leading blocks, 65 to 100 bits wide, that move every field after them past
+# bit 64, where keys are several machine words.
+PADDINGS = (Signature.zeons(33), Signature.idempotents(65), Signature.generalized_zeons([9] * 20))
+
+
+@st.composite
+def paddings(draw):
+    """A new list of leading blocks: empty, or one of PADDINGS."""
+    pad = draw(st.sampled_from((None,) + PADDINGS))
+    return [] if pad is None else [pad]
+
+
 @st.composite
 def boundary_signatures(draw, max_gens=10):
+    """Boundary caps, optionally after a padding block; terms use only the last block."""
     kinds = st.one_of(
         st.none(),
         st.sampled_from(BOUNDARY_INDICES),
     )
-    return Signature(draw(st.lists(kinds, min_size=1, max_size=max_gens)))
+    caps = draw(st.lists(kinds, min_size=1, max_size=max_gens))
+    return reduce(add, draw(paddings()) + [Signature(caps)])
 
 
 @st.composite
 def exponent_terms(draw, sig, max_terms=6):
-    """Terms as ({gid: exponent}, coeff) with every exponent valid for its generator."""
+    """Terms as ({gid: exponent}, coeff) over the last block, every exponent valid for its generator."""
     terms = []
     for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
-        gids = draw(st.lists(st.integers(0, len(sig) - 1), max_size=4, unique=True))
+        gids = draw(st.lists(st.sampled_from(sig.blocks[-1]), max_size=4, unique=True))
         exps = {}
         for g in gids:
             cap = sig.caps[g]
@@ -390,8 +415,11 @@ def as_element(sig, terms):
 
 @st.composite
 def block_lists(draw):
-    """1-3 signatures from the factories, empty ones included, to concatenate as blocks."""
-    parts = []
+    """1-3 signatures from the factories, empty ones included, to concatenate as blocks.
+
+    An optional padding block comes first.
+    """
+    parts = draw(paddings())
     for _ in range(draw(st.integers(min_value=1, max_value=3))):
         size = draw(st.integers(min_value=0, max_value=4))
         kind = draw(st.sampled_from(["zeons", "idempotents", "generalized"]))
@@ -552,6 +580,37 @@ class TestPackedKernel:
                     key = sig.encode(((1, e3), (2, e5), (3, e9), (5, 1)))
                     assert sig.support(key) == (1, 2, 3, 5)
         assert sig.support(0) == ()
+
+    def test_wide_two_block_round_trip(self):
+        # 10,000 nilpotent fields of 2 to 5 bits, then 500 idempotent bits:
+        # keys of 35,500 bits, with blocks and fields far past one machine word
+        sig = Signature.generalized_zeons([2, 3, 5, 9] * 2500) + Signature.idempotents(500)
+        rng = random.Random(0)
+        for size in (0, 1, 60, 3000, len(sig)):
+            gids = rng.sample(range(len(sig)), size)
+            monomial = sorted((g, rng.randint(1, (sig.caps[g] or 2) - 1)) for g in gids)
+            key = sig.encode(monomial)
+            assert sig.decode(key) == tuple(monomial)
+            ids = [g for g, _ in monomial]
+            assert sig.support(key) == tuple(ids)
+            for b, block in enumerate(sig.blocks):
+                want = tuple(g - block.start + 1 for g in ids if g in block)
+                assert sig.support(key, b) == want
+                first = sig.mask(want, b)
+                assert sig.support(first, b) == want
+                assert sig.decode(first) == tuple((g, 1) for g in ids if g in block)
+
+    def test_wide_signature_memory_is_linear_in_its_width(self):
+        # 20,200 generators in 40,200 bits: the per-field tables peak at
+        # 8 MiB, where one full-width mask per generator peaked at 112 MiB
+        tracemalloc.start()
+        try:
+            sig = Signature.zeons(20_000) + Signature.idempotents(200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sig.mask([200], 1).bit_length() == 40_200
+        assert peak < 16 * 2**20
 
     def test_grade_counts_generators_not_bits(self):
         # exponent 7 of an index-9 generator sets three bits of its field

@@ -180,6 +180,18 @@ class TestDerivedGraphs:
             for v in range(u + 1, h.n + 1):
                 assert h.adjacent(u, v) == (frozenset({u, v}) not in complement)
 
+    @given(hypergraphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_non_adjacency_graph_is_the_pairwise_definition(self, h, data):
+        # edge order included, with a singleton edge, a repeated edge and an
+        # isolated vertex n + 1 added to every drawn hypergraph
+        edges = [*h.edges, {data.draw(st.integers(1, h.n))}]
+        h = Hypergraph(h.n + 1, [*edges, edges[0]])
+        want = [
+            [u, v] for u in range(1, h.n + 1) for v in range(u + 1, h.n + 1) if not h.adjacent(u, v)
+        ]
+        assert h.non_adjacency_graph() == Hypergraph(h.n, want)
+
 
 class TestTextFormat:
     def test_parse_sample7(self, sample7):
