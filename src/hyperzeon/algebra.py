@@ -171,9 +171,16 @@ class Signature:
         return key
 
     def decode(self, key: int) -> Monomial:
-        """The canonical tuple monomial of a key: :meth:`support`, then one field read per id."""
+        """The canonical tuple monomial of a key: each block's :meth:`support`, a field read per id.
+
+        Id i of block b is generator ``blocks[b].start + i - 1``.
+        """
         shifts, values = self._shifts, self._values
-        return tuple((g, (key >> shifts[g]) & values[g]) for g in self.support(key))
+        return tuple(
+            (g, (key >> shifts[g]) & values[g])
+            for b, span in enumerate(self.blocks)
+            for g in (span.start + i - 1 for i in self.support(key, b))
+        )
 
     def _block(self, block) -> range:
         """The id range of block ``block``, an int index into ``blocks``; ValueError otherwise."""
@@ -181,19 +188,19 @@ class Signature:
             raise ValueError(f"block {block!r} out of range")
         return self.blocks[block]
 
-    def support(self, key: int, block: int | None = None) -> tuple[int, ...]:
+    def support(self, key: int, block: int) -> tuple[int, ...]:
         """The ids of the generators present in a packed key, ascending, each once.
 
-        With ``block`` b, only those in ``blocks[b]``, numbered from 1 within
-        it as the default display subscripts are.  The one reader of a key's
-        bit layout: it shifts the block down to bit 0, then past each field
+        Only those in ``blocks[block]``, numbered from 1 within it as the
+        default display subscripts are.  The one reader of a key's bit
+        layout: it shifts the block down to bit 0, then past each field
         found.  A negative key or one past the last field raises ValueError.
         """
-        span, first = (range(len(self.caps)), 0) if block is None else (self._block(block), 1)
+        span = self._block(block)
         shifts, bit_gid = self._shifts, self._bit_gid
         if key < 0 or key.bit_length() > shifts[-1]:
             raise ValueError("key out of range")
-        base = span.start - first
+        base = span.start - 1
         pos = shifts[span.start]
         key = (key >> pos) & ((1 << (shifts[span.stop] - pos)) - 1)
         out = []
@@ -204,21 +211,20 @@ class Signature:
             pos = shifts[g + 1]
         return tuple(out)
 
-    def mask(self, ids: Iterable[int], block: int | None = None) -> int:
+    def mask(self, ids: Iterable[int], block: int) -> int:
         """The packed key of the product of the given generators, each to the first power.
 
-        Without ``block`` ids are 0-based over the whole signature; with block
-        b they are numbered from 1 within ``blocks[b]``, exactly as
+        Ids are numbered from 1 within ``blocks[block]``, exactly as
         :meth:`support` reads them back.  The one block-aware writer of keys,
         as ``support`` is the one reader.  Over idempotent and index-2
         generators ``key & m == m`` tests that all of them are present.
         """
-        span, first = (range(len(self.caps)), 0) if block is None else (self._block(block), 1)
+        span = self._block(block)
         shifts, out = self._shifts, 0
         for i in ids:
-            if type(i) is not int or not 0 <= i - first < len(span):
+            if type(i) is not int or not 1 <= i <= len(span):
                 raise ValueError(f"generator id {i!r} out of range")
-            out |= 1 << shifts[span[i - first]]
+            out |= 1 << shifts[span[i - 1]]
         return out
 
     def render_monomial(self, monomial: Monomial) -> str:
@@ -477,9 +483,9 @@ class Element:
 
     def grade_part(self, k: int) -> "Element":
         """Terms whose monomial involves exactly k distinct generators."""
-        support = self.signature.support
+        decode = self.signature.decode
         return Element.from_packed(
-            self.signature, {m: c for m, c in self._terms.items() if len(support(m)) == k}
+            self.signature, {m: c for m, c in self._terms.items() if len(decode(m)) == k}
         )
 
     def scalar_sum(self) -> Coeff:
@@ -489,8 +495,8 @@ class Element:
         """Least generator count among nonzero terms; 0 for the zero element."""
         if not self._terms:
             return 0
-        support = self.signature.support
-        return min(len(support(m)) for m in self._terms)
+        decode = self.signature.decode
+        return min(len(decode(m)) for m in self._terms)
 
     # -- rendering ----------------------------------------------------------
 
@@ -536,9 +542,9 @@ def annihilates(blade_gids: Iterable[int], u: Element) -> bool:
     """
     gids = tuple(blade_gids)
     sig = u.signature
-    key = sig.mask(gids)
+    blade = Element.blade(sig, gids)
     if any(sig.caps[g] != 2 for g in gids):
         raise ValueError("annihilator blades must use index-2 nilpotent generators")
     if len(set(gids)) != len(gids):
         raise ValueError("annihilator blades must be square-free")
-    return not Element.from_packed(sig, {key: 1}) * u
+    return not blade * u

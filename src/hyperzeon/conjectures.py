@@ -30,6 +30,9 @@ from .matchings import incidence_representation
 from .transversals import transversal_number
 
 GAMMA_MAX_N = 20
+# Largest max_n of run_ryser_trials: each trial enumerates every matching and
+# every transversal level, so time and memory grow exponentially with n.
+RYSER_MAX_N = 20
 
 
 def gamma_element(h: Hypergraph) -> Element:
@@ -47,7 +50,7 @@ def gamma_element(h: Hypergraph) -> Element:
     for bits in range(2**h.n):
         gids = tuple(g for g in range(h.n) if bits >> g & 1)
         if annihilates(gids, gamma):
-            terms[gamma.signature.mask(gids)] = 1
+            terms[gamma.signature.mask([g + 1 for g in gids], 0)] = 1
     return Element.from_packed(gamma.signature, terms)
 
 
@@ -138,13 +141,11 @@ def generate_ryser_instance(r: int, part_size: int, edge_count: int, seed) -> Hy
     return Hypergraph(r * part_size, edges)
 
 
-def generate_union_closed(
-    ground_size: int, seed_count: int, seed, max_edges: int = MAX_SIZE
-) -> Hypergraph:
+def generate_union_closed(ground_size: int, seed_count: int, seed) -> Hypergraph:
     """Close random seed sets under pairwise unions (fixpoint), deterministically.
 
     The closure of s seeds has at most 2^s - 1 members (unions of nonempty
-    seed subfamilies); max_edges is a hard stop for safety.
+    seed subfamilies); MAX_SIZE members is a hard stop for safety.
     """
     if ground_size < 1 or seed_count < 1:
         raise ValueError("ground_size and seed_count must be >= 1")
@@ -165,8 +166,8 @@ def generate_union_closed(
         if not new:
             break
         family |= new
-        if len(family) > max_edges:
-            raise BudgetError(f"union closure exceeded {max_edges} edges")
+        if len(family) > MAX_SIZE:
+            raise BudgetError(f"union closure exceeded {MAX_SIZE} edges")
     edges = sorted(family, key=lambda e: (len(e), sorted(e)))
     return Hypergraph(ground_size, edges)
 
@@ -203,7 +204,12 @@ def _run_trials(kind: str, trials: int, seed, log_path: str | None, trial_of) ->
 
 
 def run_ryser_trials(trials: int, seed, max_n: int = 12, log_path: str | None = None) -> dict:
-    """Check seeded random instances with r in {2, 3}; returns a summary dict."""
+    """Check seeded random instances with r in {2, 3}; returns a summary dict.
+
+    A ``max_n`` above RYSER_MAX_N raises BudgetError before the first trial.
+    """
+    if max_n > RYSER_MAX_N:
+        raise BudgetError(f"ryser trials are limited to max_n <= {RYSER_MAX_N}, got {max_n}")
 
     def trial_of(master):
         r = master.choice([2, 3])

@@ -77,7 +77,7 @@ def _check_graph(g: Hypergraph):
 
 def _with_isolated_loops(g: Hypergraph) -> Hypergraph:
     loops = g.isolated_vertices()
-    return Hypergraph(g.n, [sorted(e) for e in g.edges] + [[v] for v in loops])
+    return Hypergraph(g.n, g.edges + tuple([v] for v in loops)) if loops else g
 
 
 def independent_set_representation(g: Hypergraph) -> Element:

@@ -233,11 +233,10 @@ def brute_perfect_matchings(h: Hypergraph) -> int:
 def brute_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
     """(tau, all minimum-cardinality vertex sets meeting every edge)."""
     _guard(h)
+    # every edge is non-empty, so the loop returns at size n at the latest
     for size in range(h.n + 1):
         hits = [
             c for c in combinations(range(1, h.n + 1), size) if all(e & set(c) for e in h.edges)
         ]
         if hits:
             return size, sorted(hits)
-    # every edge is non-empty, so a transversal of size <= n always exists
-    return 0, [()]

@@ -120,6 +120,11 @@ class TestRingAxioms:
         assert u**2 == u * u
         assert u**3 == (u * u) * u
 
+    @pytest.mark.parametrize("k", [-1, -5, 2.0, "2", None])
+    def test_pow_rejects_bad_exponents(self, k):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            Signature.zeons(2).gen(0) ** k
+
     def test_fraction_coefficients(self):
         sig = Signature.zeons(2)
         u = Fraction(1, 2) * sig.gen(0) + Fraction(1, 3) * sig.gen(1)
@@ -188,17 +193,18 @@ class TestCanonicalForm:
         sig = Signature.zeons(3)
         with pytest.raises(ValueError, match="out of range"):
             sig.encode(((gid, 1),))
+        # mask numbers ids from 1 within a block: the same bad generator, one up
         with pytest.raises(ValueError, match="out of range"):
-            sig.mask([0, gid])
-        # annihilates checks its ids through mask
+            sig.mask([1, gid + 1 if type(gid) is int else gid], 0)
+        # annihilates checks its ids through Element.blade, that is encode
         with pytest.raises(ValueError, match="out of range"):
             annihilates([gid], sig.gen(0) + sig.gen(1))
-        assert sig.mask([]) == 0
-        assert sig.mask([0, 2]) == sig.encode(((2, 1), (0, 1)))
+        assert sig.mask([], 0) == 0
+        assert sig.mask([1, 3], 0) == sig.encode(((2, 1), (0, 1)))
 
-    @pytest.mark.parametrize("block", [1, 2, -1, "0", 1.0, True, False])
+    @pytest.mark.parametrize("block", [1, 2, -1, "0", 1.0, True, False, None])
     def test_mask_and_support_reject_bad_blocks(self, block):
-        # a block is None or an int index into blocks: a bool, a negative
+        # a block is an int index into blocks: None, a bool, a negative
         # index (which would reach the last block) or a missing block raises
         for sig in (Signature.zeons(2), Signature.zeons(2) + Signature.idempotents(3)):
             if type(block) is int and 0 <= block < len(sig.blocks):
@@ -210,17 +216,25 @@ class TestCanonicalForm:
         # key 16 is the first generator of block 1, generator 2 overall
         sig = Signature.zeons(2) + Signature.idempotents(3)
         assert sig.mask([1], 1) == 16
-        assert sig.support(16, 1) == (1,) and sig.support(16) == (2,)
+        assert sig.support(16, 1) == (1,) and sig.decode(16) == ((2, 1),)
+        # the block has no default
+        with pytest.raises(TypeError):
+            sig.support(16)
+        with pytest.raises(TypeError):
+            sig.mask([1])
 
     @pytest.mark.parametrize("key", [-1, -(1 << 20), 1 << 8, 1 << 20, (1 << 20) | 1])
     @pytest.mark.parametrize("block", [None, 0, 1])
     def test_support_rejects_bad_keys(self, key, block):
         # the layout is 8 bits wide: three 2-bit zeon fields, two idempotent bits
         sig = Signature.zeons(3) + Signature.idempotents(2)
-        with pytest.raises(ValueError, match="key out of range"):
+        # a block is required: None is rejected before the key is read
+        match = "block None out of range" if block is None else "key out of range"
+        with pytest.raises(ValueError, match=match):
             sig.support(key, block)
         # every bit below the last field's end is read, guard bits included
-        assert sig.support((1 << 8) - 1) == (0, 1, 2, 3, 4)
+        assert sig.support((1 << 8) - 1, 0) == (1, 2, 3)
+        assert sig.support((1 << 8) - 1, 1) == (1, 2)
 
 
 class TestStructureQueries:
@@ -524,7 +538,9 @@ class TestPackedKernel:
         keys = set(as_element(sig, a_terms).packed)
         keys |= set((as_element(sig, a_terms) * as_element(sig, b_terms)).packed)
         for key in keys:
-            assert sig.support(key) == tuple(g for g, _ in sig.decode(key))
+            ids = [g for g, _ in sig.decode(key)]
+            for b, block in enumerate(sig.blocks):
+                assert sig.support(key, b) == tuple(g - block.start + 1 for g in ids if g in block)
         # decode is built on support, so it is also checked on its own: a round
         # trip through encode, multi-bit exponents and any input order included
         rng = random.Random(seed)
@@ -552,7 +568,7 @@ class TestPackedKernel:
             key = left.encode(monomial)
             assert right.encode(monomial) == key
             ids = [g for g, _ in left.decode(key)]
-            assert left.support(key) == tuple(ids)
+            assert ids == sorted(gids)
             for b, block in enumerate(left.blocks):
                 want = tuple(g - block.start + 1 for g in ids if g in block)
                 assert left.support(key, b) == right.support(key, b) == want
@@ -578,8 +594,9 @@ class TestPackedKernel:
             for e5 in range(1, 5):
                 for e9 in range(1, 9):
                     key = sig.encode(((1, e3), (2, e5), (3, e9), (5, 1)))
-                    assert sig.support(key) == (1, 2, 3, 5)
-        assert sig.support(0) == ()
+                    assert sig.support(key, 0) == (2, 3, 4)
+                    assert sig.support(key, 1) == (2,)
+        assert sig.support(0, 0) == sig.support(0, 1) == ()
 
     def test_wide_two_block_round_trip(self):
         # 10,000 nilpotent fields of 2 to 5 bits, then 500 idempotent bits:
@@ -592,7 +609,6 @@ class TestPackedKernel:
             key = sig.encode(monomial)
             assert sig.decode(key) == tuple(monomial)
             ids = [g for g, _ in monomial]
-            assert sig.support(key) == tuple(ids)
             for b, block in enumerate(sig.blocks):
                 want = tuple(g - block.start + 1 for g in ids if g in block)
                 assert sig.support(key, b) == want

@@ -564,6 +564,18 @@ class TestHarnessCommands:
         assert (code, report["violations"]) == (0, 6)
         assert log.read_text() == expected.read_text()
 
+    def test_conjecture_ryser_max_n_is_bounded(self, capsys, tmp_path):
+        log = tmp_path / "v.ndjson"
+        for trials in ("0", "3"):
+            argv = ["conjecture", "ryser", "--trials", trials, "--max-n", "21", "--log", str(log)]
+            code, report, err = run(capsys, argv)
+            assert (code, report) == (3, None)
+            assert err.startswith("budget exceeded: ")
+        assert not log.exists()
+        argv = ["conjecture", "ryser", "--trials", "3", "--max-n", "20", "--log", str(log)]
+        code, report, _ = run(capsys, argv)
+        assert (code, report["violations"]) == (0, 0)
+
     def test_conjecture_zero_trials(self, capsys, tmp_path):
         log = str(tmp_path / "v.ndjson")
         code, report, _ = run(capsys, ["conjecture", "ryser", "--trials", "0", "--log", log])

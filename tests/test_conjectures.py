@@ -192,12 +192,16 @@ class TestGenerators:
             assert h.is_union_closed()
             assert 1 <= h.m <= 7  # at most 2^3 - 1 members from 3 seeds
 
-    def test_union_closed_budget(self):
+    def test_union_closed_budget(self, monkeypatch):
+        # the closure stops at MAX_SIZE members; lowered here so that a small
+        # input reaches it (4 seeds close to at most 15 members)
+        monkeypatch.setattr(conjectures, "MAX_SIZE", 4)
         raised = False
         for seed in range(60):
             try:
-                generate_union_closed(8, 4, seed, max_edges=4)
-            except BudgetError:
+                generate_union_closed(4, 4, seed)
+            except BudgetError as exc:
+                assert "union closure exceeded 4 edges" in str(exc)
                 raised = True
                 break
         assert raised
@@ -224,6 +228,16 @@ class TestHarness:
         summary = run_ryser_trials(25, seed=7, max_n=9, log_path=str(log))
         assert summary == {"kind": "ryser", "trials": 25, "violations": 0}
         assert not log.exists()
+
+    def test_ryser_trials_bound_max_n(self, tmp_path):
+        # checked before the first trial, so even zero trials are refused
+        log, bound = tmp_path / "ryser.ndjson", conjectures.RYSER_MAX_N
+        for trials in (0, 1):
+            with pytest.raises(BudgetError, match=f"max_n <= {bound}"):
+                run_ryser_trials(trials, seed=0, max_n=bound + 1, log_path=str(log))
+        assert not log.exists()
+        summary = run_ryser_trials(3, seed=0, max_n=bound)
+        assert summary == {"kind": "ryser", "trials": 3, "violations": 0}
 
     def test_frankl_trials_clean(self, tmp_path):
         log = tmp_path / "frankl.ndjson"

@@ -152,6 +152,10 @@ class TestDerivedGraphs:
         g = sample7.intersection_graph(1)
         assert set(g.edges) == {frozenset({2, 3})}
 
+    def test_intersection_graph_rejects_negative_threshold(self, sample7):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            sample7.intersection_graph(-1)
+
     def test_intersection_graph_monotone(self, sample7):
         prev = None
         for j in range(4):
@@ -244,6 +248,11 @@ class TestJsonFormat:
             parse_json('{"n": 2}')
         with pytest.raises(ParseError):
             parse_json('{"n": 2, "edges": [[1, 1]]}')
+
+    def test_top_level_must_be_an_object(self):
+        for text in ("[1]", '"n"', "3", "null"):
+            with pytest.raises(ParseError, match="top-level JSON value must be an object"):
+                parse_json(text)
 
     def test_deep_nesting_is_a_parse_error(self):
         depth = 200_000

@@ -8,6 +8,7 @@ import pytest
 from conftest import incident_edges, random_graph, random_hypergraph, strip_isolated, vertex_set
 from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.independent_sets import (
+    _with_isolated_loops,
     graph_cliques,
     graph_independent_sets,
     independent_set_representation,
@@ -248,8 +249,15 @@ class TestRepresentationStructure:
             verts = vertex_set(rep, key)
             assert len(verts) == 1
             v = next(iter(verts))
-            edges = {g for g in support(key) if g in rep.signature.blocks[0]}
+            edges = {i - 1 for i in support(key, 0)}
             assert edges == (set(incident_edges(graph, v)) or {graph.m})
+
+    def test_loops_only_for_isolated_vertices(self):
+        # a graph without isolated vertices is used as it is; otherwise one
+        # loop per isolated vertex follows the edges, which keep their order
+        assert _with_isolated_loops(PATH3) is PATH3
+        g = Hypergraph(5, [{4, 2}, {1, 2}])
+        assert _with_isolated_loops(g).edges == g.edges + (frozenset({3}), frozenset({5}))
 
     def test_weak_representation_indices(self, sample7):
         rep = weak_representation(sample7)

@@ -97,6 +97,11 @@ class TestConventions:
     def test_transversals_edgeless(self):
         assert brute_transversals(Hypergraph(3, [])) == (0, [()])
 
+    def test_k_independent_needs_k(self, sample7):
+        for k in (None, 0):
+            with pytest.raises(ValueError, match="needs k >= 1"):
+                brute_independent(sample7, "k-independent", 1, k=k)
+
     def test_independent_modes(self, sample7):
         strong = set(brute_independent(sample7, "k-independent", 2, k=1))
         assert (2, 6) in strong

@@ -114,7 +114,7 @@ def test_first_full_blade_power_is_first_full_blade_level(seed):
         return
     rep = transversal_representation(h)
     sig = rep.signature
-    full = sig.mask(range(h.m))
+    full = sig.mask(range(1, h.m + 1), 0)
 
     def vertex_sets(terms):
         hits = [sig.decode(key & ~full) for key in terms if key & full == full]
