@@ -20,8 +20,10 @@ tuple monomials.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from collections.abc import Mapping
 from itertools import groupby
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable
 
@@ -45,8 +47,9 @@ class Signature:
     ``blocks`` keeps the id ranges of the operands' blocks, in order, so
     (a + b) + c and a + (b + c) have the same three; a signature built any
     other way is one block.  Two signatures are equal when their caps agree;
-    ``names`` are cosmetic, one (symbol, id within its block) per generator,
-    the symbol being ``symbol`` or by default ζ, ν or ε after the cap.
+    ``symbols`` are cosmetic, one per block: a generator prints as its
+    block's symbol, or by default ζ, ν or ε after its cap, and its id within
+    the block.
 
     Packed monomials: generator g owns a bit field starting at ``_shifts[g]``,
     fields laid out in id order from the low bits up to ``_shifts[G]``.  An
@@ -59,7 +62,7 @@ class Signature:
     """
 
     __slots__ = (
-        "caps", "names", "blocks", "_shifts", "_values", "_bit_gid", "_idem", "_bias", "_guard",
+        "caps", "symbols", "blocks", "_shifts", "_values", "_bit_gid", "_idem", "_bias", "_guard",
     )
 
     def __init__(self, caps: Iterable[int | None], symbol: str | None = None):
@@ -67,10 +70,6 @@ class Signature:
         for cap in self.caps:
             if cap is not None and (type(cap) is not int or cap < 2):
                 raise ValueError(f"a cap must be None or an int >= 2, got {cap!r}")
-        self.names = tuple(
-            (symbol or ("ε" if cap is None else "ζ" if cap == 2 else "ν"), i)
-            for i, cap in enumerate(self.caps, 1)
-        )
         shifts, values, bit_gid = [], [], []
         idem = bias = guard = 0
         shift = 0
@@ -95,6 +94,7 @@ class Signature:
         self._bias = bias
         self._guard = guard
         self.blocks = (range(len(self.caps)),)
+        self.symbols = (symbol,)
 
     @classmethod
     def zeons(cls, n: int, symbol: str = "ζ") -> "Signature":
@@ -115,7 +115,7 @@ class Signature:
         if not isinstance(other, Signature):
             return NotImplemented
         out = Signature(self.caps + other.caps)
-        out.names = self.names + other.names
+        out.symbols = self.symbols + other.symbols
         n = len(self)
         out.blocks = self.blocks + tuple(range(b.start + n, b.stop + n) for b in other.blocks)
         return out
@@ -227,6 +227,14 @@ class Signature:
             out |= 1 << shifts[span[i - 1]]
         return out
 
+    def _name(self, gid: int) -> tuple[str, int]:
+        """The printed (symbol, id within its block) of generator ``gid``."""
+        # the last block starting at or before gid; empty blocks at that start come earlier
+        b = bisect_right(self.blocks, gid, key=attrgetter("start")) - 1
+        cap = self.caps[gid]
+        symbol = self.symbols[b] or ("ε" if cap is None else "ζ" if cap == 2 else "ν")
+        return symbol, gid - self.blocks[b].start + 1
+
     def render_monomial(self, monomial: Monomial) -> str:
         """Deterministic text for one monomial, multi-index style (e.g. ζ{1,2}ε3).
 
@@ -234,8 +242,9 @@ class Signature:
         power prints on its own (ν1^2ν2^2).
         """
         parts = []
-        for (symbol, exp), run in groupby(monomial, lambda t: (self.names[t[0]][0], t[1])):
-            subs = [str(self.names[gid][1]) for gid, _ in run]
+        named = [(*self._name(gid), exp) for gid, exp in monomial]
+        for (symbol, exp), run in groupby(named, lambda t: (t[0], t[2])):
+            subs = [str(i) for _, i, _ in run]
             if exp != 1:
                 parts.extend(f"{symbol}{sub}^{exp}" for sub in subs)
             elif len(subs) == 1:

@@ -156,15 +156,10 @@ def generate_union_closed(ground_size: int, seed_count: int, seed) -> Hypergraph
     for _ in range(seed_count):
         mask = rng.randrange(1, 2**ground_size)
         family.add(frozenset(v + 1 for v in range(ground_size) if mask >> v & 1))
-    while True:
-        new = set()
-        for a in family:
-            for b in family:
-                u = a | b
-                if u not in family:
-                    new.add(u)
-        if not new:
-            break
+    new = set(family)
+    while new:
+        # only a pair with a member added last round can give a new union
+        new = {a | b for a in family for b in new} - family
         family |= new
         if len(family) > MAX_SIZE:
             raise BudgetError(f"union closure exceeded {MAX_SIZE} edges")

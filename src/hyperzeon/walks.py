@@ -231,6 +231,8 @@ def k_paths(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
         raise ValueError("closed walks are cycles; use k_cycles")
     if k < 1:
         raise ValueError(f"paths need k >= 1, got {k}")
+    if k > h.n - 1:
+        return []  # a path of k steps visits k + 1 distinct vertices
     sig = walk_signature(h)
     entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i,), 0), j - 1)
     records = _extract_records(sig, entry)
@@ -249,6 +251,8 @@ def k_cycles(h: Hypergraph, i: int, k: int) -> list[WalkRecord]:
     _check_vertex(h, i)
     if k < 2:
         raise ValueError(f"cycles need k >= 2, got {k}")
+    if k > h.n:
+        return []  # a cycle's vertex set has k vertices
     sig = walk_signature(h)
     entry = _row_power(sig, _adjacency(h, sig), i - 1, k, 0, i - 1)
     records = _extract_records(sig, entry)
@@ -269,6 +273,8 @@ def k_trails(h: Hypergraph, i: int, j: int, k: int) -> list[WalkRecord]:
     _check_vertex(h, j)
     if k < 1:
         raise ValueError(f"trails need k >= 1, got {k}")
+    if k > h.m:
+        return []  # a trail uses k distinct edges
     sig = trail_signature(h)
     entry = _row_power(sig, _adjacency(h, sig), i - 1, k, sig.mask((i,), 0), j - 1)
     records = _extract_records(sig, entry)

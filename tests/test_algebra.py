@@ -308,7 +308,7 @@ class TestSignatures:
         assert len(sig) == 5
         assert sig.caps[0] == 2
         assert sig.caps[4] is None
-        assert sig.names[2] == ("ε", 1)
+        assert sig.symbols == ("ζ", "ε") and str(sig.gen(2)) == "ε1"
         assert sig == Signature([2, 2, None, None, None])
         assert hash(sig) == hash(Signature([2, 2, None, None, None]))
         assert repr(sig) == "Signature[2,2,I,I,I]"
@@ -354,6 +354,13 @@ class TestRendering:
         assert str(Element.blade(eps, [0, 1, 2, 3])) == "ε{1,2,1,2}"
         mixed = Signature.zeons(2) + Signature.generalized_zeons([3]) + Signature.idempotents(2)
         assert str(3 * Element.blade(mixed, [0, 1, 2, 2, 3])) == "3·ζ{1,2}ν1^2ε1"
+
+    def test_one_block_without_a_symbol(self):
+        # each generator takes its cap's default symbol, numbered within the one block
+        sig = Signature([2, 3, None])
+        assert sig.symbols == (None,)
+        assert str(Element.blade(sig, [0, 1, 2])) == "ζ1ν2ε3"
+        assert str(Element.blade(sig + Signature([2, None]), [0, 2, 3, 4])) == "ζ1ε3ζ1ε2"
 
 
 # Nilpotent indices on both sides of each power-of-two field width.
@@ -573,7 +580,7 @@ class TestPackedKernel:
                 want = tuple(g - block.start + 1 for g in ids if g in block)
                 assert left.support(key, b) == right.support(key, b) == want
                 # numbered as the display subscripts
-                assert want == tuple(left.names[g][1] for g in ids if g in block)
+                assert want == tuple(left._name(g)[1] for g in ids if g in block)
         # mask writes block ids back as support reads them: the first-power
         # blade on the absolute ids, whatever the fields' widths
         for b, block in enumerate(left.blocks):
@@ -587,6 +594,20 @@ class TestPackedKernel:
             for bad in (0, len(block) + 1):
                 with pytest.raises(ValueError, match="out of range"):
                     left.mask([bad], b)
+
+    @given(block_lists(), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_concatenations_keep_one_symbol_per_block(self, parts, seed):
+        left = reduce(add, parts)  # (a + b) + c
+        right = reduce(lambda acc, part: part + acc, reversed(parts))  # a + (b + c)
+        assert left.symbols == right.symbols == tuple(p.symbols[0] for p in parts)
+        assert len(left.symbols) == len(left.blocks)
+        rng = random.Random(seed)
+        terms = []
+        for size in range(min(len(left), 6) + 1):
+            gids = rng.sample(range(len(left)), size)
+            terms.append(([(g, rng.randint(1, (left.caps[g] or 2) - 1)) for g in gids], 1))
+        assert str(Element(left, terms)) == str(Element(right, terms))
 
     def test_support_of_multi_bit_fields(self):
         sig = Signature.generalized_zeons([2, 3, 5, 9]) + Signature.idempotents(2)
@@ -617,8 +638,9 @@ class TestPackedKernel:
                 assert sig.decode(first) == tuple((g, 1) for g in ids if g in block)
 
     def test_wide_signature_memory_is_linear_in_its_width(self):
-        # 20,200 generators in 40,200 bits: the per-field tables peak at
-        # 8 MiB, where one full-width mask per generator peaked at 112 MiB
+        # 20,200 generators in 40,200 bits: the per-field tables and one
+        # symbol per block peak at 4.5 MiB, where one full-width mask per
+        # generator peaked at 112 MiB and one name per generator at 8 MiB
         tracemalloc.start()
         try:
             sig = Signature.zeons(20_000) + Signature.idempotents(200)
@@ -626,7 +648,7 @@ class TestPackedKernel:
         finally:
             tracemalloc.stop()
         assert sig.mask([200], 1).bit_length() == 40_200
-        assert peak < 16 * 2**20
+        assert peak < 6 * 2**20
 
     def test_grade_counts_generators_not_bits(self):
         # exponent 7 of an index-9 generator sets three bits of its field

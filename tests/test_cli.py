@@ -4,6 +4,7 @@ import ast
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -36,6 +37,13 @@ def run(capsys, argv):
     return code, report, captured.err
 
 
+def random_input_text(seed, n, m) -> str:
+    """A text input of m random edges of 2 to 4 of the vertices 1..n."""
+    rng = random.Random(seed)
+    edges = [rng.sample(range(1, n + 1), rng.randint(2, 4)) for _ in range(m)]
+    return f"{n} {m}\n" + "".join(" ".join(map(str, e)) + "\n" for e in edges)
+
+
 class TestWalkCommands:
     def test_paths_golden(self, capsys):
         code, report, _ = run(
@@ -56,6 +64,18 @@ class TestWalkCommands:
         # each row power vanishes after at most n (paths) or m (trails) steps
         monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2\n2 3\n"))
         code, report, _ = run(capsys, [command, "--from", "1", "--to", "2", "--k", "5000"])
+        assert code == 0
+        assert report["records"] == []
+
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--from", "1", "--to", "14"],
+        ["cycles", "--at", "1"],
+        ["trails", "--from", "1", "--to", "14"],
+    ])
+    def test_k_past_the_walk_length_limit_is_empty(self, capsys, monkeypatch, argv):
+        # 10**18 steps exceed any path, cycle or trail of a 20-vertex, 30-edge input
+        monkeypatch.setattr("sys.stdin", io.StringIO(random_input_text(0, 20, 30)))
+        code, report, _ = run(capsys, [*argv, "--k", str(10**18)])
         assert code == 0
         assert report["records"] == []
 
@@ -384,6 +404,27 @@ class TestOutput:
         assert done.stderr.startswith("output error:")
         assert "Traceback" not in done.stderr
         assert "Exception ignored" not in done.stderr
+
+    def test_reader_gone_during_the_report(self, tmp_path):
+        # the reader takes 10 bytes of a 0.4 MB report and closes its end
+        path = tmp_path / "in.hg"
+        path.write_text(random_input_text(0, 20, 30), encoding="utf-8")
+        argv = ["paths", "--file", str(path), "--from", "1", "--to", "14", "--k", "5"]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "hyperzeon.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        try:
+            assert len(child.stdout.read(10)) == 10
+            child.stdout.close()
+            err = child.stderr.read().decode()
+            assert child.wait(timeout=60) == 2
+        finally:
+            child.kill()
+            child.wait()
+            child.stderr.close()
+        assert err == "output error: standard output closed early\n"
+        assert "Traceback" not in err
 
 
 # the path 1-2-3 with vertex 4 isolated

@@ -192,6 +192,38 @@ class TestGenerators:
             assert h.is_union_closed()
             assert 1 <= h.m <= 7  # at most 2^3 - 1 members from 3 seeds
 
+    @pytest.mark.parametrize("max_size", [None, 6])
+    def test_union_closed_matches_a_naive_closure(self, monkeypatch, max_size):
+        # every round unions all pairs of the family; with a lowered MAX_SIZE
+        # both stop in the same round
+        if max_size is not None:
+            monkeypatch.setattr(conjectures, "MAX_SIZE", max_size)
+        limit = conjectures.MAX_SIZE
+
+        def naive(ground_size, seed_count, seed):
+            rng = random.Random(seed)
+            family = set()
+            for _ in range(seed_count):
+                mask = rng.randrange(1, 2**ground_size)
+                family.add(frozenset(v + 1 for v in range(ground_size) if mask >> v & 1))
+            while True:
+                grown = family | {a | b for a in family for b in family}
+                if grown == family:
+                    edges = sorted(family, key=lambda e: (len(e), sorted(e)))
+                    return Hypergraph(ground_size, edges)
+                family = grown
+                if len(family) > limit:
+                    return None
+
+        for seed in range(40):
+            ground_size, seed_count = 1 + seed % 6, 1 + seed % 5
+            want = naive(ground_size, seed_count, seed)
+            if want is None:
+                with pytest.raises(BudgetError, match=f"union closure exceeded {limit} edges"):
+                    generate_union_closed(ground_size, seed_count, seed)
+            else:
+                assert generate_union_closed(ground_size, seed_count, seed) == want
+
     def test_union_closed_budget(self, monkeypatch):
         # the closure stops at MAX_SIZE members; lowered here so that a small
         # input reaches it (4 seeds close to at most 15 members)

@@ -9,6 +9,7 @@ import pytest
 from hyperzeon import independent_sets, transversals
 from hyperzeon.algebra import Signature
 from hyperzeon.cli import main
+from hyperzeon.conjectures import check_frankl
 from hyperzeon.errors import InvariantError
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import graph_independent_sets
@@ -140,3 +141,23 @@ def test_bad_transversal_level_coefficient_raises_and_exits_two(monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:")
+
+
+def test_kernel_degree_mismatch_raises_and_exits_two(monkeypatch, capsys, tmp_path):
+    h = Hypergraph(3, [{1}, {1, 2}, {1, 2, 3}])
+    assert check_frankl(h).holds
+    real = Hypergraph.degree
+
+    def off_by_one(self, v):
+        # the degree identity no longer agrees with the kernel's count
+        return real(self, v) + 1
+
+    monkeypatch.setattr(Hypergraph, "degree", off_by_one)
+    with pytest.raises(InvariantError, match="kernel/degree mismatch at vertex 1"):
+        check_frankl(h)
+    monkeypatch.chdir(tmp_path)
+    assert main(["conjecture", "frankl", "--trials", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: kernel/degree mismatch")
+    assert list(tmp_path.iterdir()) == []

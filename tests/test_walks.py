@@ -1,6 +1,7 @@
 """Nilpotent adjacency matrix and walk extraction."""
 
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -305,6 +306,54 @@ class TestTrails:
             j = rng.randint(1, h.n)
             k = rng.randint(1, 4)
             assert k_trails(h, i, j, k) == brute_trails(h, i, j, k)
+
+
+class TestWalkLengthLimits:
+    # a path of k steps visits k + 1 distinct vertices, a cycle's vertex set
+    # has k vertices and a trail uses k distinct edges; past these limits
+    # each kind is empty without running the row loop
+
+    def test_kernel_matches_oracle_at_and_past_each_limit(self):
+        rng = random.Random(14)
+        for _ in range(40):
+            h = random_hypergraph(rng, max_n=6, max_m=6, min_n=2)
+            i, j = rng.sample(range(1, h.n + 1), 2)
+            for k in (h.n - 1, h.n):
+                assert k_paths(h, i, j, k) == brute_paths(h, i, j, k)
+            for k in (max(2, h.n), h.n + 1):
+                assert k_cycles(h, i, k) == brute_cycles(h, i, k)
+            for k in (max(1, h.m), h.m + 1):
+                assert k_trails(h, i, j, k) == brute_trails(h, i, j, k)
+                assert k_trails(h, i, i, k) == brute_trails(h, i, i, k)
+            assert k_paths(h, i, j, h.n) == k_cycles(h, i, h.n + 1) == []
+            assert k_trails(h, i, j, h.m + 1) == []
+
+    def test_limits_are_tight(self):
+        c4 = Hypergraph(4, [[1, 2], [2, 3], [3, 4], [4, 1]])
+        assert k_paths(c4, 1, 4, 3) == [WalkRecord((1, 2, 3, 4), (1, 2, 3), 1)]
+        assert k_cycles(c4, 1, 4) == [WalkRecord((1, 2, 3, 4), (1, 2, 3, 4), 2)]
+        assert k_trails(c4, 1, 4, 4) == [WalkRecord((1, 2, 3, 4), (1, 2, 3, 4), 2)]
+        assert k_paths(c4, 1, 4, 4) == k_cycles(c4, 1, 5) == k_trails(c4, 1, 4, 5) == []
+
+    def test_huge_k_returns_at_once(self, monkeypatch):
+        rng = random.Random(0)
+        h = Hypergraph(20, [rng.sample(range(1, 21), rng.randint(2, 4)) for _ in range(30)])
+        huge = 10**18
+
+        def no_row_loop(*args):
+            raise AssertionError("the row loop ran")
+
+        monkeypatch.setattr(walks, "_row_power", no_row_loop)
+        start = time.perf_counter()
+        assert k_paths(h, 1, 14, huge) == k_cycles(h, 1, huge) == k_trails(h, 1, 14, huge) == []
+        assert time.perf_counter() - start < 1.0
+        # invalid arguments still raise first
+        with pytest.raises(ValueError, match="closed walks"):
+            k_paths(h, 1, 1, huge)
+        with pytest.raises(ValueError):
+            k_cycles(h, 21, huge)
+        with pytest.raises(ValueError):
+            k_trails(h, 0, 14, huge)
 
 
 class TestSparseRows:
