@@ -58,19 +58,18 @@ class Signature:
     carries a bias of 2**v - c.  Adding two exponents plus the bias sets the
     guard bit exactly when their sum reaches c, so one addition multiplies all
     nilpotent fields at once and one mask test finds a vanished product.
+    No valid key sets a guard bit, so fields are read and written whole.
     Its tables are per field or per bit: O(width) memory.
     """
 
-    __slots__ = (
-        "caps", "symbols", "blocks", "_shifts", "_values", "_bit_gid", "_idem", "_bias", "_guard",
-    )
+    __slots__ = ("caps", "symbols", "blocks", "_shifts", "_bit_gid", "_idem", "_bias", "_guard")
 
     def __init__(self, caps: Iterable[int | None], symbol: str | None = None):
         self.caps = tuple(caps)
         for cap in self.caps:
             if cap is not None and (type(cap) is not int or cap < 2):
                 raise ValueError(f"a cap must be None or an int >= 2, got {cap!r}")
-        shifts, values, bit_gid = [], [], []
+        shifts, bit_gid = [], []
         idem = bias = guard = 0
         shift = 0
         for gid, cap in enumerate(self.caps):
@@ -81,14 +80,12 @@ class Signature:
                 guard |= 1 << (shift + v)
                 width = v + 1
             else:
-                v = width = 1
+                width = 1
                 idem |= 1 << shift
-            values.append((1 << v) - 1)
             bit_gid.extend([gid] * width)
             shift += width
         shifts.append(shift)
         self._shifts = tuple(shifts)
-        self._values = tuple(values)  # value-bit mask of each field, unshifted
         self._bit_gid = tuple(bit_gid)
         self._idem = idem
         self._bias = bias
@@ -151,7 +148,7 @@ class Signature:
 
         Repeated generators accumulate and idempotent exponents collapse to 1.
         """
-        caps, shifts, values = self.caps, self._shifts, self._values
+        caps, shifts = self.caps, self._shifts
         key = 0
         for gid, exp in monomial:
             if type(gid) is not int or not 0 <= gid < len(caps):
@@ -161,7 +158,7 @@ class Signature:
             shift = shifts[gid]
             cap = caps[gid]
             if cap:
-                field = values[gid] << shift
+                field = ((1 << (shifts[gid + 1] - shift)) - 1) << shift
                 exp += (key & field) >> shift
                 if exp >= cap:
                     return None
@@ -175,9 +172,9 @@ class Signature:
 
         Id i of block b is generator ``blocks[b].start + i - 1``.
         """
-        shifts, values = self._shifts, self._values
+        shifts = self._shifts
         return tuple(
-            (g, (key >> shifts[g]) & values[g])
+            (g, (key >> shifts[g]) & ((1 << (shifts[g + 1] - shifts[g])) - 1))
             for b, span in enumerate(self.blocks)
             for g in (span.start + i - 1 for i in self.support(key, b))
         )

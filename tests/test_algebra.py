@@ -18,6 +18,7 @@ from hyperzeon.algebra import (
     annihilates,
     mul_into,
     nilpotency_index,
+    subset_products,
 )
 from hyperzeon.errors import ContextError
 
@@ -138,6 +139,11 @@ class TestRingAxioms:
             a * b
         with pytest.raises(ContextError):
             a + b
+        # an operand that is neither an element nor a scalar is no element of any context
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: y - x, lambda x, y: x * y):
+            with pytest.raises(TypeError):
+                op(a, object())
+        assert (a == object()) is False
 
 
 class TestCanonicalForm:
@@ -244,6 +250,9 @@ class TestStructureQueries:
         assert u.scalar_part() == 3
         assert u.dual_part() == sig.gen(0)
         assert u.dual_part().scalar_part() == 0
+        # without a scalar term there is nothing to drop
+        v = sig.gen(1)
+        assert v.dual_part() is v
 
     def test_grade_part_of_product(self):
         sig = Signature.idempotents(6)
@@ -312,6 +321,8 @@ class TestSignatures:
         assert sig == Signature([2, 2, None, None, None])
         assert hash(sig) == hash(Signature([2, 2, None, None, None]))
         assert repr(sig) == "Signature[2,2,I,I,I]"
+        with pytest.raises(TypeError):
+            sig + 1
 
     @pytest.mark.parametrize("cap, valid", [
         *((cap, True) for cap in (None, *range(2, 10))),
@@ -618,6 +629,43 @@ class TestPackedKernel:
                     assert sig.support(key, 0) == (2, 3, 4)
                     assert sig.support(key, 1) == (2,)
         assert sig.support(0, 0) == sig.support(0, 1) == ()
+
+    @given(operand_pairs(), block_lists(), st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_written_keys_never_set_a_guard_bit(self, case, parts, seed):
+        # encode refuses a saturated power, mul_into skips every sum that sets
+        # a guard bit and mask writes first powers: so encode and decode may
+        # read each field whole
+        sig, a_terms, b_terms = case
+        x, y = as_element(sig, a_terms), as_element(sig, b_terms)
+        keys = [sig.encode(exps.items()) for exps, _ in a_terms + b_terms]
+        keys += mul_into(sig, {}, x.packed, y.packed)
+        keys += [key for _, level in subset_products(sig, [*x.packed, *y.packed]) for key in level]
+        assert all(key & sig._guard == 0 for key in keys)
+        sig = reduce(add, parts)
+        rng = random.Random(seed)
+        keys = []
+        for _ in range(6):
+            gids = rng.sample(range(len(sig)), rng.randint(0, len(sig)))
+            keys.append(sig.encode([(g, rng.randint(1, (sig.caps[g] or 2) - 1)) for g in gids]))
+        terms = dict.fromkeys(keys, 1)
+        keys += mul_into(sig, {}, terms, terms)
+        keys += [key for _, level in subset_products(sig, terms) for key in level]
+        for b, block in enumerate(sig.blocks):
+            keys.append(sig.mask(rng.sample(range(1, len(block) + 1), rng.randint(0, len(block))), b))
+        assert all(key & sig._guard == 0 for key in keys)
+
+    def test_multi_bit_fields_never_set_a_guard_bit(self):
+        # every power of generators of index 2 to 9 (one to three value bits),
+        # and their squares and cubes, vanishing sums included
+        sig = Signature.generalized_zeons(range(2, 10)) + Signature.idempotents(2)
+        powers = {sig.encode(((g, e),)): 1 for g, cap in enumerate(sig.caps[:8]) for e in range(1, cap)}
+        powers[sig.mask((1, 2), 1)] = 1
+        square = mul_into(sig, {}, powers, powers)
+        cube = mul_into(sig, {}, square, powers)
+        keys = [*powers, *square, *cube, sig.mask(range(1, 9), 0)]
+        assert len(keys) > 1000
+        assert all(key & sig._guard == 0 for key in keys)
 
     def test_wide_two_block_round_trip(self):
         # 10,000 nilpotent fields of 2 to 5 bits, then 500 idempotent bits:

@@ -74,6 +74,9 @@ class TestConstruction:
         assert a == Hypergraph(3, [{1, 2}, {2, 3}])
         assert a != b
         assert hash(a) != hash(b)
+        assert (a == (3, a.edges)) is False
+        assert repr(a) == "Hypergraph(n=3, edges=[{1,2}, {2,3}])"
+        assert repr(b) == "Hypergraph(n=3, edges=[{2,3}, {1,2}])"
 
     def test_immutable(self):
         h = Hypergraph(3, [{1, 2}, {2, 3}])

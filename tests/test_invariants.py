@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperzeon import independent_sets, transversals
+from hyperzeon import independent_sets, transversals, walks
 from hyperzeon.algebra import Signature
 from hyperzeon.cli import main
 from hyperzeon.conjectures import check_frankl
@@ -14,6 +14,7 @@ from hyperzeon.errors import InvariantError
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import graph_independent_sets
 from hyperzeon.transversals import minimum_transversals
+from hyperzeon.walks import WalkRecord, k_cycles, k_paths, k_trails
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hyperzeon"
 
@@ -73,7 +74,7 @@ def test_only_algebra_reads_the_signature_layout():
     # part masks and block ranges come from Signature.mask and blocks, so no
     # other module depends on how Signature lays its fields out
     private = {name for name in Signature.__slots__ if name.startswith("_")}
-    assert private == {"_shifts", "_values", "_bit_gid", "_idem", "_bias", "_guard"}
+    assert private == {"_shifts", "_bit_gid", "_idem", "_bias", "_guard"}
     readers = {
         scope
         for scope, node in _scoped_nodes()
@@ -141,6 +142,49 @@ def test_bad_transversal_level_coefficient_raises_and_exits_two(monkeypatch, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error:")
+
+
+def test_bad_walk_records_raise_and_exit_two(monkeypatch, capsys):
+    h = Hypergraph(3, [[1, 2], [2, 3]])
+    checks = {
+        "path": lambda: k_paths(h, 1, 3, 2),
+        "cycle": lambda: k_cycles(h, 1, 2),
+        "trail": lambda: k_trails(h, 1, 3, 2),
+    }
+    for check in checks.values():
+        check()
+    # one vertex and one edge: too few for a 2-step record of any shape
+    monkeypatch.setattr(walks, "_extract_records", lambda sig, entry: [WalkRecord((1,), (1,), 1)])
+    for shape, check in checks.items():
+        with pytest.raises(InvariantError, match=f"{shape} record"):
+            check()
+    monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n1 2\n2 3\n"))
+    assert main(["paths", "--from", "1", "--to", "3", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: path record")
+
+
+def test_repeated_index_set_raises():
+    sig = Signature.zeons(2) + Signature.idempotents(2, "x")
+    x1 = sig.mask((1,), 1)
+    distinct = {sig.mask((1,), 0) | x1: 1, sig.mask((2,), 0) | sig.mask((2,), 1): 1}
+    assert independent_sets.index_sets(sig, distinct, 1) == [(1,), (2,)]
+    # two keys that differ only in their edge labels read the same vertex set
+    repeated = {sig.mask((1,), 0) | x1: 1, sig.mask((2,), 0) | x1: 1}
+    with pytest.raises(InvariantError, match="appeared twice at level 1"):
+        independent_sets.index_sets(sig, repeated, 1)
+
+
+def test_no_transversal_found_raises(monkeypatch):
+    h = Hypergraph(3, [{1, 2}, {2, 3}])
+
+    def empty_levels(signature, factors, depth=None):
+        yield 1, {}
+
+    monkeypatch.setattr(transversals, "subset_products", empty_levels)
+    with pytest.raises(InvariantError, match="no transversal found"):
+        minimum_transversals(h)
 
 
 def test_kernel_degree_mismatch_raises_and_exits_two(monkeypatch, capsys, tmp_path):

@@ -105,6 +105,8 @@ class TestOmega:
         x, z = build_blocks(sample7)
         with pytest.raises(ValueError):
             x * x
+        with pytest.raises(TypeError):
+            x * 2
         for k in (0, 1, 2):  # powers need a square matrix
             with pytest.raises(ValueError):
                 x.power(k)
