@@ -22,7 +22,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from collections.abc import Mapping
-from itertools import groupby
+from itertools import accumulate, groupby
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable
@@ -276,7 +276,7 @@ def mul_into(signature: Signature, acc: dict, a: Mapping, b: Mapping) -> dict:
     return acc
 
 
-def subset_products(signature: Signature, factors, depth: int | None = None):
+def subset_products(signature: Signature, factors, depth: int | None = None, target: int = 0):
     """Yield (j, terms) for j = 1, 2, ...: the products of all j-subsets of ``factors``.
 
     ``factors`` is an iterable of packed monomials of ``signature``, each
@@ -288,16 +288,25 @@ def subset_products(signature: Signature, factors, depth: int | None = None):
     Without ``depth`` the levels run until one is empty.  With ``depth``, only
     level ``depth`` is yielded, and subsets that can no longer reach ``depth``
     factors are dropped on the way; a depth above the number of factors
-    yields nothing.
+    yields nothing.  With ``target``, a mask of first powers of idempotent or
+    index-2 generators, only products that later factors can still complete
+    to carry all of it are kept.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
+    idem, guard = signature._idem, signature._guard
+    # index-2 first-power bits: field starts just below a guard
+    if target & ~(idem | guard >> 1 & ((idem | guard) << 1 | 1)):
+        raise ValueError("target bits must be first powers of idempotent or index-2 generators")
+    factors = list(factors)
     units = [{f: 1} for f in factors]  # read only, so they double as level 1
     count = len(units)
+    # reach[i]: the target bits of factors i, i+1, ...
+    reach = list(accumulate(reversed(factors), lambda r, f: r | f & target, initial=0))[::-1]
     # a j-subset whose last factor is i can grow to `depth` factors iff i < cut + j
     cut = count if depth is None else count - depth
     # parts[i]: products of the current level's subsets whose last factor is i
-    parts = units[: max(0, cut + 1)]
+    parts = [u if reach[i] == target else {} for i, u in enumerate(units[: max(0, cut + 1)])]
     j = 1
     while any(parts):
         if depth is None or j == depth:
@@ -315,14 +324,17 @@ def subset_products(signature: Signature, factors, depth: int | None = None):
         for i in range(j, len(nxt)):
             for m, c in parts[i - 1].items():
                 prefix[m] = prefix.get(m, 0) + c
+            if reach[i] != reach[i - 1]:  # drop products that can no longer carry the target
+                prefix = {m: c for m, c in prefix.items() if (m | reach[i]) & target == target}
             mul_into(signature, nxt[i], prefix, units[i])
         parts = nxt
+        del prefix  # free the old level's merge before the next level is merged
         j += 1
 
 
-def subset_level(signature: Signature, factors, k: int) -> dict:
+def subset_level(signature: Signature, factors, k: int, target: int = 0) -> dict:
     """Level k of :func:`subset_products`: the products of all k-subsets, or {}."""
-    for _, level in subset_products(signature, factors, k):
+    for _, level in subset_products(signature, factors, k, target):
         return level
     return {}
 

@@ -30,8 +30,9 @@ from .matchings import incidence_representation
 from .transversals import transversal_number
 
 GAMMA_MAX_N = 20
-# Largest max_n of run_ryser_trials: each trial enumerates every matching and
-# every transversal level, so time and memory grow exponentially with n.
+# Largest max_n of run_ryser_trials: each trial enumerates every matching
+# level, and the transversal levels up to tau, which keep only vertex sets that
+# can still meet every edge; both grow exponentially with n.
 RYSER_MAX_N = 20
 
 

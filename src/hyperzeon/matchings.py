@@ -50,9 +50,11 @@ def perfect_matching_count(h: Hypergraph) -> int:
     """Number of pairwise-disjoint edge families covering every vertex.
 
     Reads the full-blade coefficient among the products of subsets of the
-    edge blades.  An r-uniform input reads level n/r alone, as the paper's
-    γ^(n/r)/(n/r)! does, and has no perfect matching when r does not
-    divide n; any other input sums the coefficient over every level.
+    edge blades, with that blade as the levels' target: a family is dropped
+    as soon as a vertex it misses lies in no later edge.  An r-uniform input
+    reads level n/r alone, as the paper's γ^(n/r)/(n/r)! does, and has no
+    perfect matching when r does not divide n; any other input sums the
+    coefficient over every level.
     """
     _check_distinct_edges(h)
     if h.n == 0:
@@ -62,10 +64,10 @@ def perfect_matching_count(h: Hypergraph) -> int:
     full = sig.mask(range(1, h.n + 1), 0)
     r = h.uniform_rank()
     if r is None:
-        return sum(level.get(full, 0) for _, level in subset_products(sig, gamma.packed))
+        return sum(level.get(full, 0) for _, level in subset_products(sig, gamma.packed, target=full))
     if h.n % r:
         return 0
-    return subset_level(sig, gamma.packed, h.n // r).get(full, 0)
+    return subset_level(sig, gamma.packed, h.n // r, full).get(full, 0)
 
 
 def j_intersecting_matchings(h: Hypergraph, j: int, k: int) -> list[tuple]:

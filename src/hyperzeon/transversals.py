@@ -8,8 +8,11 @@ blade.  Here the products of all j-subsets of the factors are formed for
 j = 1, 2, ... (:func:`~hyperzeon.algebra.subset_products`): the first level
 that carries the full edge blade is the first such power of σ, its j is the
 transversal number, and the vertex index sets attached to that blade are
-exactly the minimum transversals.  Isolated vertices can never help cover an
-edge, so they get no factor; the CLI reports them from the hypergraph itself.
+exactly the minimum transversals.  No other term is read, so the full edge
+blade is the levels' target: a subset is dropped as soon as some edge it
+misses has no vertex among the factors after its last one.  Isolated vertices
+can never help cover an edge, so they get no factor; the CLI reports them from
+the hypergraph itself.
 
 Signature blocks: edge labels ("ε"), then vertex labels ("x"), read back as
 vertex sets by :func:`~hyperzeon.independent_sets.index_sets`.
@@ -34,8 +37,9 @@ def transversal_representation(h: Hypergraph) -> Element:
 def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
     """(tau, every minimum-cardinality vertex set meeting all edges, sorted).
 
-    Forms the products of j-subsets of the vertex factors, level by level,
-    until one carries the full edge blade.  At that first level every
+    Forms the products of j-subsets of the vertex factors that can still
+    meet every edge, level by level, until one carries the full edge blade.
+    At that first level every
     full-blade vertex set has size exactly j: a smaller one would have covered
     every edge at a lower level.  An edgeless hypergraph has the one
     transversal (), of size 0.
@@ -45,7 +49,7 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
     sigma = transversal_representation(h)
     sig = sigma.signature
     full_edges = sig.mask(range(1, h.m + 1), 0)
-    for j, level in subset_products(sig, sigma.packed):
+    for j, level in subset_products(sig, sigma.packed, target=full_edges):
         full = {key: c for key, c in level.items() if key & full_edges == full_edges}
         hits = index_sets(sig, full, j)
         if hits:

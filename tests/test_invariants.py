@@ -130,8 +130,8 @@ def test_bad_transversal_level_coefficient_raises_and_exits_two(monkeypatch, cap
     assert minimum_transversals(h) == (1, [(2,)])
     real = transversals.subset_products
 
-    def doubled(signature, factors, depth=None):
-        for j, level in real(signature, factors, depth):
+    def doubled(signature, factors, depth=None, target=0):
+        for j, level in real(signature, factors, depth, target):
             yield j, {key: 2 * c for key, c in level.items()}
 
     monkeypatch.setattr(transversals, "subset_products", doubled)
@@ -179,7 +179,7 @@ def test_repeated_index_set_raises():
 def test_no_transversal_found_raises(monkeypatch):
     h = Hypergraph(3, [{1, 2}, {2, 3}])
 
-    def empty_levels(signature, factors, depth=None):
+    def empty_levels(signature, factors, depth=None, target=0):
         yield 1, {}
 
     monkeypatch.setattr(transversals, "subset_products", empty_levels)

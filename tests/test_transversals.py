@@ -112,6 +112,13 @@ class TestMinimumTransversals:
                 sorted(s) for s in want_sets
             ]
 
+    def test_cyclic_three_uniform_at_n_27(self):
+        # edges {v, v+1, v+2} mod 27: without pruning the levels below tau = 9
+        # to subsets that can still meet every edge, this takes seconds
+        n = 27
+        h = Hypergraph(n, [[v, v % n + 1, (v + 1) % n + 1] for v in range(1, n + 1)])
+        assert minimum_transversals(h) == (9, [tuple(range(r, n + 1, 3)) for r in (1, 2, 3)])
+
 
 class TestAnnihilatorAgreement:
     def test_transversal_iff_annihilates_incidence(self):
