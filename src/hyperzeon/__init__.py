@@ -1,14 +1,18 @@
 """Exact zeon / idem-Clifford algebra kernel with hypergraph structure enumeration.
 
 The public names load their module on first access (PEP 562), so importing one
-submodule, such as the command line, does not import the others.
+submodule, such as the command line, does not import the others.  Each name
+has one home module: ``Signature`` lives in the packed kernel (``kernel``),
+the value types ``Element`` and ``AlgebraMatrix`` with the matrix builders in
+``algebra``, and each enumerator in the module of its structure.
 """
 
 from importlib import import_module
 
 _EXPORTS = {
     "algebra": (
-        "Element", "Signature", "annihilates", "nilpotency_index",
+        "AlgebraMatrix", "Element", "annihilates", "build_bipartite", "build_blocks", "build_omega",
+        "nilpotency_index",
     ),
     "conjectures": (
         "FranklReport", "RyserReport", "check_frankl", "check_ryser", "gamma_element",
@@ -22,15 +26,13 @@ _EXPORTS = {
         "independent_set_representation", "k_independent_sets", "pairwise_adjacent_sets",
         "strong_independent_sets", "weak_independent_sets", "weak_representation",
     ),
+    "kernel": ("Signature",),
     "matchings": (
         "incidence_representation", "j_intersecting_matchings", "k_matchings",
         "perfect_matching_count",
     ),
     "transversals": ("minimum_transversals", "transversal_number", "transversal_representation"),
-    "walks": (
-        "AlgebraMatrix", "WalkRecord", "build_bipartite", "build_blocks", "build_omega",
-        "k_cycles", "k_paths", "k_trails",
-    ),
+    "walks": ("WalkRecord", "k_cycles", "k_paths", "k_trails"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -19,7 +19,9 @@ from . import hypergraph as hg
 from .errors import BudgetError, InvariantError
 
 # Each handler imports its enumerator module itself, so a process loads only
-# the modules its subcommand uses.
+# the modules its subcommand uses.  The enumerators run on the packed kernel
+# (``kernel``) alone; the value types in ``algebra`` load only for
+# ``conjecture frankl``, whose check multiplies elements.
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,13 +21,16 @@ from __future__ import annotations
 
 import json
 import random
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .algebra import Element, annihilates, subset_products
 from .errors import BudgetError, InvariantError
 from .hypergraph import MAX_SIZE, Hypergraph, to_json_dict
-from .matchings import incidence_representation
+from .kernel import subset_products
+from .matchings import incidence_representation, incidence_terms
 from .transversals import transversal_number
+
+if TYPE_CHECKING:
+    from .algebra import Element
 
 GAMMA_MAX_N = 20
 # Largest max_n of run_ryser_trials: each trial enumerates every matching
@@ -44,6 +47,8 @@ def gamma_element(h: Hypergraph) -> Element:
     is a tested invariant, and this function stays honest by running the 2^n
     kernel multiplications rather than a hitting-set scan.
     """
+    from .algebra import Element, annihilates
+
     if h.n > GAMMA_MAX_N:
         raise BudgetError(f"gamma scan is 2^n; limited to n <= {GAMMA_MAX_N}, got {h.n}")
     gamma = incidence_representation(h)
@@ -81,8 +86,8 @@ def check_ryser(h: Hypergraph, r: int, partition) -> RyserReport:
         raise ValueError(f"hypergraph is not {r}-uniform")
     if not h.is_r_partite(r, partition):
         raise ValueError(f"partition is not a valid {r}-partition")
-    gamma = incidence_representation(h)
-    matching = max((j for j, _ in subset_products(gamma.signature, gamma.packed)), default=0)
+    sig, gamma = incidence_terms(h)
+    matching = max((j for j, _ in subset_products(sig, gamma)), default=0)
     tau = transversal_number(h)
     return RyserReport(r, matching, tau, tau <= (r - 1) * matching)
 
@@ -220,7 +225,13 @@ def run_ryser_trials(trials: int, seed, max_n: int = 12, log_path: str | None = 
 
 
 def run_frankl_trials(trials: int, seed, max_ground: int = 8, log_path: str | None = None) -> dict:
-    """Check seeded random union-closed families; returns a summary dict."""
+    """Check seeded random union-closed families; returns a summary dict.
+
+    A ``max_ground`` above hypergraph.MAX_SIZE raises BudgetError before the
+    first trial, as no ground set may exceed it.
+    """
+    if max_ground > MAX_SIZE:
+        raise BudgetError(f"frankl trials are limited to max_ground <= {MAX_SIZE}, got {max_ground}")
 
     def trial_of(master):
         ground = master.randint(1, max_ground)

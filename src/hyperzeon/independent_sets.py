@@ -3,7 +3,7 @@
 Each vertex contributes one factor: the product of its incident edge labels
 with its own idempotent label.  The paper sums the factors and reads k-sets
 from the k-th power divided by k!; here the products of all k-subsets of the
-factors are formed directly (:func:`~hyperzeon.algebra.subset_level`),
+factors are formed directly (:func:`~hyperzeon.kernel.subset_level`),
 each subset once with coefficient 1.  A product vanishes when the subset
 overuses an edge: with index-2 edge labels on a graph this enforces pairwise
 non-adjacency, with index-|e| labels it forbids containing a whole hyperedge
@@ -18,13 +18,24 @@ Every representation's signature has two blocks: the edge labels in edge order
 labels, so a key's block-1 read is its vertex id set.  Graph mode gives each
 isolated vertex a loop, as the paper does; a representation keeps no record of
 which vertices were isolated, and the CLI reports them from the hypergraph itself.
+
+Each representation has one packed builder (``*_terms``), which returns
+``(signature, terms)``, the terms a dict of packed keys.  The enumerators read
+those terms and build no element; the public ``*_representation`` functions
+wrap the same result as an :class:`~hyperzeon.algebra.Element`, so only they
+load :mod:`~hyperzeon.algebra`.
 """
 
 from __future__ import annotations
 
-from .algebra import Element, Signature, subset_level
+from typing import TYPE_CHECKING
+
 from .errors import InvariantError
 from .hypergraph import Hypergraph
+from .kernel import Signature, subset_level
+
+if TYPE_CHECKING:
+    from .algebra import Element
 
 
 def index_sets(signature: Signature, level: dict, k: int) -> list[tuple]:
@@ -45,17 +56,17 @@ def index_sets(signature: Signature, level: dict, k: int) -> list[tuple]:
     return out
 
 
-def level_sets(element: Element, k: int) -> list[tuple]:
-    """The index sets of the k-subset products of a φ element's factors, sorted."""
-    return index_sets(element.signature, subset_level(element.signature, element.packed, k), k)
+def level_sets(signature: Signature, terms: dict, k: int) -> list[tuple]:
+    """The index sets of the k-subset products of φ's factors (its packed ``terms``), sorted."""
+    return index_sets(signature, subset_level(signature, terms, k), k)
 
 
-def phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
-    """φ: the sum over vertices not in ``skip`` of (incident edge labels) x (the vertex's label).
+def phi(h: Hypergraph, signature: Signature, skip=()) -> dict:
+    """φ's packed terms: over vertices not in ``skip``, (incident edge labels) x (the vertex's label).
 
     Each vertex's packed key starts as its own label (vertex v of block 1);
     each edge ORs its first-power label (edge l of block 0) into the keys of
-    its vertices.
+    its vertices.  Every coefficient is 1.
     """
     mask = signature.mask
     keys = [mask((v,), 1) for v in range(1, h.n + 1)]
@@ -63,7 +74,7 @@ def phi(h: Hypergraph, signature: Signature, skip=()) -> Element:
         bit = mask((l,), 0)
         for v in e:
             keys[v - 1] |= bit
-    return Element.from_packed(signature, {key: 1 for v, key in enumerate(keys, 1) if v not in skip})
+    return {key: 1 for v, key in enumerate(keys, 1) if v not in skip}
 
 
 # -- graphs ----------------------------------------------------------------------
@@ -80,12 +91,19 @@ def _with_isolated_loops(g: Hypergraph) -> Hypergraph:
     return Hypergraph(g.n, g.edges + tuple([v] for v in loops)) if loops else g
 
 
-def independent_set_representation(g: Hypergraph) -> Element:
+def independent_set_terms(g: Hypergraph) -> tuple[Signature, dict]:
     """The index-2 labeled sum for an ordinary graph, after adding loops to isolated vertices."""
     _check_graph(g)
     g2 = _with_isolated_loops(g)
     sig = Signature.zeons(g2.m) + Signature.idempotents(g2.n, "x")
-    return phi(g2, sig)
+    return sig, phi(g2, sig)
+
+
+def independent_set_representation(g: Hypergraph) -> Element:
+    """:func:`independent_set_terms` as an element."""
+    from .algebra import Element
+
+    return Element.from_packed(*independent_set_terms(g))
 
 
 def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple]:
@@ -96,7 +114,7 @@ def graph_independent_sets(g: Hypergraph, k: int) -> list[tuple]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return level_sets(independent_set_representation(g), k)
+    return level_sets(*independent_set_terms(g), k)
 
 
 def graph_cliques(g: Hypergraph, k: int) -> list[tuple]:
@@ -117,7 +135,7 @@ def _check_no_isolated(h: Hypergraph):
         )
 
 
-def weak_representation(h: Hypergraph) -> Element:
+def weak_terms(h: Hypergraph) -> tuple[Signature, dict]:
     """Edge labels nilpotent of index |e|, so a selection containing an edge vanishes.
 
     Vertices lying in a singleton edge are omitted: their label would need
@@ -128,7 +146,14 @@ def weak_representation(h: Hypergraph) -> Element:
     indices = [max(len(e), 2) for e in h.edges]
     sig = Signature.generalized_zeons(indices, "ν") + Signature.idempotents(h.n, "ε")
     skip = {v for e in h.edges if len(e) == 1 for v in e}
-    return phi(h, sig, skip)
+    return sig, phi(h, sig, skip)
+
+
+def weak_representation(h: Hypergraph) -> Element:
+    """:func:`weak_terms` as an element."""
+    from .algebra import Element
+
+    return Element.from_packed(*weak_terms(h))
 
 
 def weak_independent_sets(h: Hypergraph, k: int) -> list[tuple]:
@@ -140,16 +165,23 @@ def weak_independent_sets(h: Hypergraph, k: int) -> list[tuple]:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return level_sets(weak_representation(h), k)
+    return level_sets(*weak_terms(h), k)
 
 
-def k_independent_representation(h: Hypergraph, k: int) -> Element:
+def k_independent_terms(h: Hypergraph, k: int) -> tuple[Signature, dict]:
     """Every edge label nilpotent of index k+1: selections meet each edge at most k times."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_no_isolated(h)
     sig = Signature.generalized_zeons([k + 1] * h.m, "ν") + Signature.idempotents(h.n, "ε")
-    return phi(h, sig)
+    return sig, phi(h, sig)
+
+
+def k_independent_representation(h: Hypergraph, k: int) -> Element:
+    """:func:`k_independent_terms` as an element."""
+    from .algebra import Element
+
+    return Element.from_packed(*k_independent_terms(h, k))
 
 
 def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[tuple]:
@@ -159,7 +191,7 @@ def k_independent_sets(h: Hypergraph, size: int, k: int) -> list[tuple]:
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    return level_sets(k_independent_representation(h, k), size)
+    return level_sets(*k_independent_terms(h, k), size)
 
 
 def strong_independent_sets(h: Hypergraph, size: int) -> list[tuple]:

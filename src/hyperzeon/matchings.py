@@ -3,20 +3,26 @@
 The incidence element sums one square-free blade of index-2 vertex generators
 per hyperedge.  The paper reads k-matchings from its k-th power divided by k!;
 here the products of all k-subsets of the edge blades are formed directly
-(:func:`~hyperzeon.algebra.subset_products`), each subset once.  A product
+(:func:`~hyperzeon.kernel.subset_products`), each subset once.  A product
 survives exactly when its k edges are pairwise disjoint (a shared vertex
 squares to zero), so its coefficient counts the k-matchings covering its
 vertex set.  Edge-subset views come from independent sets of the
-intersection graph, which also yields j-intersecting matchings.
+intersection graph, which also yields j-intersecting matchings.  The
+enumerators read γ's packed terms from :func:`incidence_terms`; only
+:func:`incidence_representation` wraps them as an element.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from .algebra import Element, Signature, subset_level, subset_products
 from .hypergraph import Hypergraph
 from .independent_sets import graph_independent_sets
+from .kernel import Signature, subset_level, subset_products
+
+if TYPE_CHECKING:
+    from .algebra import Element
 
 
 def _check_distinct_edges(h: Hypergraph):
@@ -29,10 +35,17 @@ def incidence_signature(h: Hypergraph) -> Signature:
     return Signature.zeons(h.n)
 
 
-def incidence_representation(h: Hypergraph) -> Element:
+def incidence_terms(h: Hypergraph) -> tuple[Signature, dict]:
     """γ: the unit blade of each hyperedge's vertices (block 0); a repeated edge gets coefficient 2."""
     sig = incidence_signature(h)
-    return Element.from_packed(sig, dict(Counter(sig.mask(e, 0) for e in h.edges)))
+    return sig, dict(Counter(sig.mask(e, 0) for e in h.edges))
+
+
+def incidence_representation(h: Hypergraph) -> Element:
+    """:func:`incidence_terms` as an element."""
+    from .algebra import Element
+
+    return Element.from_packed(*incidence_terms(h))
 
 
 def k_matchings(h: Hypergraph, k: int) -> list[tuple[tuple, int]]:
@@ -40,9 +53,9 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[tuple, int]]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_distinct_edges(h)
-    gamma = incidence_representation(h)
-    support = gamma.signature.support
-    level = subset_level(gamma.signature, gamma.packed, k)
+    sig, gamma = incidence_terms(h)
+    support = sig.support
+    level = subset_level(sig, gamma, k)
     return sorted((support(key, 0), count) for key, count in level.items())
 
 
@@ -59,15 +72,14 @@ def perfect_matching_count(h: Hypergraph) -> int:
     _check_distinct_edges(h)
     if h.n == 0:
         return 1  # the empty family covers no vertex
-    gamma = incidence_representation(h)
-    sig = gamma.signature
+    sig, gamma = incidence_terms(h)
     full = sig.mask(range(1, h.n + 1), 0)
     r = h.uniform_rank()
     if r is None:
-        return sum(level.get(full, 0) for _, level in subset_products(sig, gamma.packed, target=full))
+        return sum(level.get(full, 0) for _, level in subset_products(sig, gamma, target=full))
     if h.n % r:
         return 0
-    return subset_level(sig, gamma.packed, h.n // r, full).get(full, 0)
+    return subset_level(sig, gamma, h.n // r, full).get(full, 0)
 
 
 def j_intersecting_matchings(h: Hypergraph, j: int, k: int) -> list[tuple]:

@@ -7,15 +7,21 @@ Powers of the matrix then count walks whose surviving terms are exactly the
 self-avoiding ones: repeated vertices square to zero, repeated edges collapse
 idempotently and merely shrink the recorded edge set.  Trails swap the roles
 (idempotent vertices, nilpotent edges) so edge repetition cancels instead.
+
+The enumerators work on sparse packed rows from :mod:`~hyperzeon.kernel`
+alone: each takes one row of the matrix through k steps of the row loop and
+reads its target entry's terms.  The same matrices as elements, with their
+products and powers, are :mod:`~hyperzeon.algebra`'s ``AlgebraMatrix`` and
+``build_*`` functions, which share this module's rows and row loop.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import Element, Signature, mul_into
-from .errors import ContextError, InvariantError
+from .errors import InvariantError
 from .hypergraph import Hypergraph
+from .kernel import Signature, mul_into
 
 
 class WalkRecord(NamedTuple):
@@ -29,59 +35,7 @@ class WalkRecord(NamedTuple):
     count: int
 
 
-class AlgebraMatrix:
-    """Matrix of kernel elements sharing one signature, kept as sparse packed rows.
-
-    Row r is a dict {column: packed terms} over its nonzero entries only, so
-    a walk matrix takes space in proportion to its nonzero entries, not to
-    rows x cols.  ``m[r]`` builds row r's elements when it is read.
-    """
-
-    __slots__ = ("signature", "rows", "cols", "_packed")
-
-    def __init__(self, signature: Signature, rows: list[dict], cols: int):
-        """The matrix of sparse packed ``rows``; it takes ownership of ``rows``."""
-        self.signature, self.rows, self.cols, self._packed = signature, len(rows), cols, rows
-
-    def __getitem__(self, r: int) -> tuple[Element, ...]:
-        sig, row = self.signature, self._packed[r]
-        return tuple(Element.from_packed(sig, row.get(c, {})) for c in range(self.cols))
-
-    def __eq__(self, other) -> bool:
-        # a product of signed entries can leave zero coefficients in a row;
-        # the row's elements drop them
-        return (
-            isinstance(other, AlgebraMatrix)
-            and self.signature == other.signature
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and all(self[r] == other[r] for r in range(self.rows))
-        )
-
-    def __mul__(self, other: "AlgebraMatrix") -> "AlgebraMatrix":
-        if not isinstance(other, AlgebraMatrix):
-            return NotImplemented
-        if self.signature != other.signature:
-            raise ContextError("matrix signatures differ")
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        sig, rows = self.signature, other._packed
-        return AlgebraMatrix(
-            sig, [_row_times_matrix(sig, row, rows) for row in self._packed], other.cols
-        )
-
-    def power(self, k: int) -> "AlgebraMatrix":
-        """The k-th power of a square matrix: each unit row takes k steps of the walk row loop."""
-        if not isinstance(k, int) or k < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-        if self.rows != self.cols:
-            raise ValueError(f"power of a non-square {self.rows}x{self.cols} matrix")
-        sig, rows = self.signature, self._packed
-        return AlgebraMatrix(
-            sig, [_row_steps(sig, {r: {0: 1}}, rows, k) for r in range(self.rows)], self.cols
-        )
-
-
-# -- matrix builders ------------------------------------------------------------
+# -- matrix rows ----------------------------------------------------------------
 
 
 def walk_signature(h: Hypergraph) -> Signature:
@@ -100,7 +54,7 @@ def _adjacency(h: Hypergraph, sig: Signature) -> list[dict]:
     Filled edge by edge over each edge's vertex pairs, so only nonzero entries
     are stored.  Keys are written by block id (vertex v of block 0, edge l of
     block 1); row and column indices are 0-based.  The rows equal X·Z of
-    :func:`_block_rows`, but forming that product through
+    ``algebra._block_rows``, but forming that product through
     :func:`_row_times_matrix` costs 3-6 times this fill.
     """
     mask = sig.mask
@@ -113,45 +67,6 @@ def _adjacency(h: Hypergraph, sig: Signature) -> list[dict]:
             for b, key in keys:
                 row.setdefault(b, {})[key] = 1
     return rows
-
-
-def _block_rows(h: Hypergraph, sig: Signature) -> list[dict]:
-    """Sparse rows of [[0, X], [Z, 0]]: X holds edge labels (v, n+l), Z vertex labels (n+l, v)."""
-    n, mask = h.n, sig.mask
-    rows = [{} for _ in range(n + h.m)]
-    for l, e in enumerate(h.edges, 1):
-        ebit, r = mask((l,), 1), n + l - 1
-        for v in e:
-            rows[v - 1][r] = {ebit: 1}
-            rows[r][v - 1] = {mask((v,), 0): 1}
-    return rows
-
-
-def build_omega(h: Hypergraph) -> AlgebraMatrix:
-    """The n x n nilpotent adjacency matrix: (i, j) -> zeta_j * sum of shared edge labels."""
-    sig = walk_signature(h)
-    return AlgebraMatrix(sig, _adjacency(h, sig), h.n)
-
-
-def build_trail_matrix(h: Hypergraph) -> AlgebraMatrix:
-    """The trail matrix: same layout as Omega over the role-swapped signature."""
-    sig = trail_signature(h)
-    return AlgebraMatrix(sig, _adjacency(h, sig), h.n)
-
-
-def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
-    """The factor matrices X (n x m, idempotent edge labels) and Z (m x n, vertex labels)."""
-    sig = walk_signature(h)
-    n = h.n
-    rows = _block_rows(h, sig)
-    X = [{c - n: x for c, x in row.items()} for row in rows[:n]]
-    return AlgebraMatrix(sig, X, h.m), AlgebraMatrix(sig, rows[n:], n)
-
-
-def build_bipartite(h: Hypergraph) -> AlgebraMatrix:
-    """The (n+m) x (n+m) block matrix [[0, X], [Z, 0]]; its square is diag(XZ, ZX)."""
-    sig = walk_signature(h)
-    return AlgebraMatrix(sig, _block_rows(h, sig), h.n + h.m)
 
 
 # -- walk extraction --------------------------------------------------------------

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from hyperzeon.algebra import Element, Signature
+from hyperzeon.algebra import Element
 from hyperzeon.hypergraph import Hypergraph, parse
+from hyperzeon.kernel import Signature
 
 DATA = Path(__file__).parent / "data"
 

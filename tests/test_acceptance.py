@@ -18,7 +18,7 @@ from conftest import (
     records_to_dict,
     strip_isolated,
 )
-from hyperzeon.algebra import Element, Signature, nilpotency_index
+from hyperzeon.algebra import Element, build_omega, nilpotency_index
 from hyperzeon.conjectures import gamma_element, run_frankl_trials, run_ryser_trials
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import (
@@ -26,6 +26,7 @@ from hyperzeon.independent_sets import (
     strong_independent_sets,
     weak_independent_sets,
 )
+from hyperzeon.kernel import Signature
 from hyperzeon.matchings import (
     incidence_representation,
     incidence_signature,
@@ -49,7 +50,7 @@ from hyperzeon.transversals import (
     transversal_representation,
     transversal_signature,
 )
-from hyperzeon.walks import build_omega, k_cycles, k_paths, walk_signature
+from hyperzeon.walks import k_cycles, k_paths, walk_signature
 
 # the seven-vertex worked example's adjacency matrix, transcribed literally:
 # entry (i, j) carries the target label j and one idempotent per listed edge

@@ -12,15 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_element, random_signature
-from hyperzeon.algebra import (
-    Element,
-    Signature,
-    annihilates,
-    mul_into,
-    nilpotency_index,
-    subset_products,
-)
+from hyperzeon.algebra import Element, annihilates, nilpotency_index
 from hyperzeon.errors import ContextError
+from hyperzeon.kernel import Signature, mul_into, subset_products
 
 
 @st.composite

@@ -617,6 +617,27 @@ class TestHarnessCommands:
         code, report, _ = run(capsys, argv)
         assert (code, report["violations"]) == (0, 0)
 
+    def test_conjecture_frankl_max_n_is_bounded(self, capsys, tmp_path, monkeypatch):
+        # refused before the first trial, with the flag's value, not a drawn ground size
+        from hyperzeon import conjectures
+
+        def no_draw(*args):
+            raise AssertionError("a trial ran")
+
+        log = tmp_path / "v.ndjson"
+        with monkeypatch.context() as patch:
+            patch.setattr(conjectures, "generate_union_closed", no_draw)
+            for trials in ("0", "50"):
+                argv = ["conjecture", "frankl", "--trials", trials, "--max-n", "2000",
+                        "--seed", "1", "--log", str(log)]
+                code, report, err = run(capsys, argv)
+                assert (code, report) == (3, None)
+                assert err.startswith("budget exceeded: ") and "got 2000" in err
+        assert not log.exists()
+        argv = ["conjecture", "frankl", "--trials", "3", "--max-n", "1000", "--log", str(log)]
+        code, report, _ = run(capsys, argv)
+        assert (code, report["violations"]) == (0, 0)
+
     def test_conjecture_zero_trials(self, capsys, tmp_path):
         log = str(tmp_path / "v.ndjson")
         code, report, _ = run(capsys, ["conjecture", "ryser", "--trials", "0", "--log", log])
@@ -733,9 +754,9 @@ class TestOptimizedInterpreter:
             assert outputs[0] == outputs[1] == outputs[2], argv
 
 
-def loaded_after(imports: str, watched) -> list[str]:
-    """The ``watched`` modules a fresh interpreter has loaded after ``import <imports>``."""
-    probe = f"import sys, {imports}; print(*[m for m in {tuple(watched)!r} if m in sys.modules])"
+def loaded_after(imports: str, watched, then: str = "pass") -> list[str]:
+    """The ``watched`` modules a fresh interpreter has loaded after ``import <imports>`` and ``then``."""
+    probe = f"import sys, {imports}; {then}; print(*[m for m in {tuple(watched)!r} if m in sys.modules])"
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=SRC),
@@ -757,6 +778,19 @@ class TestImports:
 
     def test_cli_import_loads_no_harness_or_oracle(self):
         assert loaded_after("hyperzeon.cli", ("hyperzeon.conjectures", "hyperzeon.oracle")) == []
+
+    @pytest.mark.parametrize("module", ["cli", "walks", "independent_sets", "matchings", "transversals"])
+    def test_enumerators_load_no_value_types(self, module):
+        # the enumerators run on the packed kernel; Element and the matrix API stay unloaded
+        assert loaded_after(f"hyperzeon.{module}", ("hyperzeon.algebra",)) == []
+
+    def test_ryser_trials_load_no_value_types(self):
+        then = "assert hyperzeon.conjectures.run_ryser_trials(3, 0)['violations'] == 0"
+        assert loaded_after("hyperzeon.conjectures", ("hyperzeon.algebra",), then) == []
+
+    def test_kernel_generators_load_the_value_type(self):
+        then = "assert str(hyperzeon.kernel.Signature.zeons(2).gen(0)) == 'ζ1'"
+        assert loaded_after("hyperzeon.kernel", ("hyperzeon.algebra",), then) == ["hyperzeon.algebra"]
 
     def test_public_names_resolve(self):
         for name in hyperzeon.__all__:

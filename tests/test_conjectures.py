@@ -22,7 +22,7 @@ from hyperzeon.conjectures import (
     ryser_partition,
 )
 from hyperzeon.errors import BudgetError
-from hyperzeon.hypergraph import Hypergraph
+from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.matchings import incidence_signature
 from hyperzeon.oracle import brute_transversals
 from hyperzeon.transversals import transversal_number
@@ -270,6 +270,14 @@ class TestHarness:
         assert not log.exists()
         summary = run_ryser_trials(3, seed=0, max_n=bound)
         assert summary == {"kind": "ryser", "trials": 3, "violations": 0}
+
+    def test_frankl_trials_bound_max_ground(self, tmp_path):
+        # checked before the first trial, as for ryser
+        log = tmp_path / "frankl.ndjson"
+        for trials in (0, 1):
+            with pytest.raises(BudgetError, match=f"max_ground <= {MAX_SIZE}, got {MAX_SIZE + 1}"):
+                run_frankl_trials(trials, seed=0, max_ground=MAX_SIZE + 1, log_path=str(log))
+        assert not log.exists()
 
     def test_frankl_trials_clean(self, tmp_path):
         log = tmp_path / "frankl.ndjson"

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 from hyperzeon import independent_sets, transversals, walks
-from hyperzeon.algebra import Signature
 from hyperzeon.cli import main
 from hyperzeon.conjectures import check_frankl
 from hyperzeon.errors import InvariantError
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import graph_independent_sets
+from hyperzeon.kernel import Signature
 from hyperzeon.transversals import minimum_transversals
 from hyperzeon.walks import WalkRecord, k_cycles, k_paths, k_trails
 
@@ -54,7 +54,7 @@ def test_mul_into_has_one_call_site_per_product_layer():
     sites = [scope for scope, node in _scoped_nodes() if _called(node) == "mul_into"]
     assert sorted(sites) == [
         "algebra.Element.__mul__",
-        "algebra.subset_products",
+        "kernel.subset_products",
         "walks._row_times_matrix",
     ]
 
@@ -67,10 +67,10 @@ def test_one_function_reads_the_bit_table():
         for scope, node in _scoped_nodes()
         if isinstance(node, ast.Attribute) and node.attr == "_bit_gid" and isinstance(node.ctx, ast.Load)
     }
-    assert readers == {"algebra.Signature.support"}
+    assert readers == {"kernel.Signature.support"}
 
 
-def test_only_algebra_reads_the_signature_layout():
+def test_only_kernel_reads_the_signature_layout():
     # part masks and block ranges come from Signature.mask and blocks, so no
     # other module depends on how Signature lays its fields out
     private = {name for name in Signature.__slots__ if name.startswith("_")}
@@ -79,7 +79,7 @@ def test_only_algebra_reads_the_signature_layout():
         scope
         for scope, node in _scoped_nodes()
         if isinstance(node, ast.Attribute) and node.attr in private and isinstance(node.ctx, ast.Load)
-        and not scope.startswith("algebra.")
+        and not scope.startswith("kernel.")
     }
     assert readers == set()
 

@@ -12,7 +12,7 @@ from itertools import combinations
 import pytest
 
 from conftest import incident_edges, random_graph, random_hypergraph, strip_isolated, vertex_set
-from hyperzeon.algebra import Element, Signature
+from hyperzeon.algebra import Element
 from hyperzeon.conjectures import gamma_element
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import (
@@ -20,6 +20,7 @@ from hyperzeon.independent_sets import (
     k_independent_representation,
     weak_representation,
 )
+from hyperzeon.kernel import Signature
 from hyperzeon.matchings import incidence_representation
 from hyperzeon.transversals import transversal_representation
 

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_hypergraph, strip_isolated, vertex_set
-from hyperzeon.algebra import Signature, nilpotency_index, subset_level, subset_products
+from hyperzeon.algebra import nilpotency_index
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import (
     independent_set_representation,
     k_independent_representation,
     weak_representation,
 )
+from hyperzeon.kernel import Signature, subset_level, subset_products
 from hyperzeon.matchings import incidence_representation, perfect_matching_count
 from hyperzeon.oracle import MAX_M, MAX_N, brute_perfect_matchings, brute_transversals
 from hyperzeon.transversals import minimum_transversals, transversal_representation

@@ -8,16 +8,12 @@ import pytest
 
 from conftest import random_hypergraph, records_to_dict
 from hyperzeon import walks
-from hyperzeon.algebra import Element
+from hyperzeon.algebra import Element, build_bipartite, build_blocks, build_omega, build_trail_matrix
 from hyperzeon.errors import ContextError
 from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.oracle import brute_cycles, brute_paths, brute_trails
 from hyperzeon.walks import (
     WalkRecord,
-    build_bipartite,
-    build_blocks,
-    build_omega,
-    build_trail_matrix,
     k_cycles,
     k_paths,
     k_trails,
