@@ -9,7 +9,8 @@ terms keeps canonical tuple monomials.  :class:`AlgebraMatrix` and the
 adjacency matrix Ω, the trail matrix, and the factors X and Z of the block
 matrix [[0, X], [Z, 0]].  They share the sparse packed rows and the row loop
 of :mod:`~hyperzeon.walks`, whose enumerators read packed terms directly and
-never load this module.
+never load this module.  The matrix API imports them where it runs, so code
+that uses only :class:`Element` never loads :mod:`~hyperzeon.walks`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Iterable
 from .errors import ContextError
 from .hypergraph import Hypergraph
 from .kernel import Monomial, Signature, mul_into
-from .walks import _adjacency, _row_steps, _row_times_matrix, trail_signature, walk_signature
 
 # fractions (and decimal, which it imports) load only where a caller uses them
 Coeff = "int | Fraction"
@@ -295,6 +295,8 @@ class AlgebraMatrix:
             raise ContextError("matrix signatures differ")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        from .walks import _row_times_matrix
+
         sig, rows = self.signature, other._packed
         return AlgebraMatrix(
             sig, [_row_times_matrix(sig, row, rows) for row in self._packed], other.cols
@@ -306,6 +308,8 @@ class AlgebraMatrix:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
         if self.rows != self.cols:
             raise ValueError(f"power of a non-square {self.rows}x{self.cols} matrix")
+        from .walks import _row_steps
+
         sig, rows = self.signature, self._packed
         return AlgebraMatrix(
             sig, [_row_steps(sig, {r: {0: 1}}, rows, k) for r in range(self.rows)], self.cols
@@ -326,18 +330,24 @@ def _block_rows(h: Hypergraph, sig: Signature) -> list[dict]:
 
 def build_omega(h: Hypergraph) -> AlgebraMatrix:
     """The n x n nilpotent adjacency matrix: (i, j) -> zeta_j * sum of shared edge labels."""
+    from .walks import _adjacency, walk_signature
+
     sig = walk_signature(h)
     return AlgebraMatrix(sig, _adjacency(h, sig), h.n)
 
 
 def build_trail_matrix(h: Hypergraph) -> AlgebraMatrix:
     """The trail matrix: same layout as Omega over the role-swapped signature."""
+    from .walks import _adjacency, trail_signature
+
     sig = trail_signature(h)
     return AlgebraMatrix(sig, _adjacency(h, sig), h.n)
 
 
 def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
     """The factor matrices X (n x m, idempotent edge labels) and Z (m x n, vertex labels)."""
+    from .walks import walk_signature
+
     sig = walk_signature(h)
     n = h.n
     rows = _block_rows(h, sig)
@@ -347,5 +357,7 @@ def build_blocks(h: Hypergraph) -> tuple[AlgebraMatrix, AlgebraMatrix]:
 
 def build_bipartite(h: Hypergraph) -> AlgebraMatrix:
     """The (n+m) x (n+m) block matrix [[0, X], [Z, 0]]; its square is diag(XZ, ZX)."""
+    from .walks import walk_signature
+
     sig = walk_signature(h)
     return AlgebraMatrix(sig, _block_rows(h, sig), h.n + h.m)

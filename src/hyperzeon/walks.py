@@ -10,9 +10,14 @@ idempotently and merely shrink the recorded edge set.  Trails swap the roles
 
 The enumerators work on sparse packed rows from :mod:`~hyperzeon.kernel`
 alone: each takes one row of the matrix through k steps of the row loop and
-reads its target entry's terms.  The same matrices as elements, with their
-products and powers, are :mod:`~hyperzeon.algebra`'s ``AlgebraMatrix`` and
-``build_*`` functions, which share this module's rows and row loop.
+reads its target entry's terms.  The row loop is directed at that entry: one
+breadth-first search from the target column over the rows' nonzero pattern
+gives d(c), the fewest steps from column c to the target, and step t of k
+forms products into column c only when d(c) <= k - t.  A dropped column
+cannot reach the target in the steps left, so it adds nothing to the entry.
+The same matrices as elements, with their products and powers, are
+:mod:`~hyperzeon.algebra`'s ``AlgebraMatrix`` and ``build_*`` functions,
+which share this module's rows and row loop and keep every column.
 """
 
 from __future__ import annotations
@@ -72,11 +77,19 @@ def _adjacency(h: Hypergraph, sig: Signature) -> list[dict]:
 # -- walk extraction --------------------------------------------------------------
 
 
-def _row_times_matrix(sig: Signature, row: dict, rows: list[dict]) -> dict:
-    """A sparse row times the matrix of sparse ``rows``, summed by mul_into; nonzero entries only."""
+def _row_times_matrix(
+    sig: Signature, row: dict, rows: list[dict], dist: list | None = None, left: int = 0
+) -> dict:
+    """A sparse row times the matrix of sparse ``rows``, summed by mul_into; nonzero entries only.
+
+    With ``dist``, products go only into columns c with ``dist[c] <= left``;
+    without it, into every column.
+    """
     out: dict = {}
     for l, a in row.items():
         for c, b in rows[l].items():
+            if dist is not None and dist[c] > left:
+                continue
             acc = out.get(c)
             if acc is None:
                 out[c] = acc = {}
@@ -84,22 +97,63 @@ def _row_times_matrix(sig: Signature, row: dict, rows: list[dict]) -> dict:
     return {c: acc for c, acc in out.items() if acc}
 
 
-def _row_steps(sig: Signature, row: dict, rows: list[dict], steps: int) -> dict:
-    """``row`` times the matrix of ``rows``, ``steps`` times; it stops once the row is empty."""
-    for _ in range(steps):
+def _row_steps(sig: Signature, row: dict, rows: list[dict], steps: int, dist: list | None = None) -> dict:
+    """``row`` times the matrix of ``rows``, ``steps`` times; it stops once the row is empty.
+
+    With ``dist``, the step that leaves s steps to go keeps only the columns
+    c with ``dist[c] <= s`` (see :func:`_row_power`).
+    """
+    for left in range(steps, 0, -1):
         if not row:
             break  # every later step's row is empty too
-        row = _row_times_matrix(sig, row, rows)
+        row = _row_times_matrix(sig, row, rows, dist, left)
     return row
+
+
+def _distances(rows: list[dict], col: int, k: int) -> list[int]:
+    """d[c]: the fewest steps from column c to ``col`` over the nonzero pattern of ``rows``.
+
+    A breadth-first search from ``col`` over the reverse adjacency; it stops
+    when its frontier is empty or its depth reaches k - 1, the most steps a
+    row step of :func:`_row_power` leaves, and columns it does not reach get k.
+    """
+    preds: list[list[int]] = [[] for _ in rows]
+    for l, row in enumerate(rows):
+        for c in row:
+            preds[c].append(l)
+    dist = [k] * len(rows)
+    dist[col], frontier, depth = 0, [col], 0
+    while frontier and depth < k - 1:
+        depth += 1
+        nxt = []
+        for c in frontier:
+            for l in preds[c]:
+                if dist[l] == k:
+                    dist[l] = depth
+                    nxt.append(l)
+        frontier = nxt
+    return dist
 
 
 def _row_power(sig: Signature, rows: list[dict], i: int, k: int, start: int, col: int) -> dict:
     """Packed terms of entry (i, col) of the k-th power of ``rows``, times the monomial ``start``.
 
-    The one-entry row {i: start} takes k-1 steps of :func:`_row_steps`; the
-    last step is the same row step, over column ``col`` alone.  Ids are 0-based.
+    The one-entry row {i: start} takes k-1 steps of :func:`_row_steps`,
+    directed at ``col``: with d(c) the fewest steps from column c to ``col``
+    (:func:`_distances`), step t of k forms products into column c only if
+    d(c) <= k - t, so a column with no distance below k is never formed.
+    When the target's vertex label (block 0) is nilpotent, as in paths and
+    cycles, a walk that enters ``col`` before its last step squares it to
+    zero, so column ``col`` is dropped before the last step too; a trail's
+    idempotent target keeps it.  The result is exact: a dropped column
+    cannot reach ``col`` in the steps left, or reaches it only by entering
+    the nilpotent target twice, so it adds nothing to the entry.  The last
+    step is the same row step, over column ``col`` alone.  Ids are 0-based.
     """
-    row = _row_steps(sig, {i: {start: 1}}, rows, k - 1)
+    dist = _distances(rows, col, k)
+    if sig.caps[sig.blocks[0][col]] is not None:
+        dist[col] = k  # a nilpotent target is entered on the last step only
+    row = _row_steps(sig, {i: {start: 1}}, rows, k - 1, dist)
     column = {l: {col: rows[l][col]} if col in rows[l] else {} for l in row}
     return _row_times_matrix(sig, row, column).get(col, {})
 
@@ -112,11 +166,14 @@ def _extract_records(sig: Signature, entry: dict) -> list[WalkRecord]:
     is the key ANDed with the block's first-power bits from ``Signature.mask``,
     which is the whole part only because every walk and trail generator is an
     index-2 nilpotent or an idempotent, whose value field is one bit wide.
+    It consumes ``entry``: each term is popped as its record is built, so the
+    entry shrinks while the records grow, and ``entry`` is empty afterwards.
     """
     support, vertex_sets, edge_sets = sig.support, {}, {}
     vmask, emask = (sig.mask(range(1, len(sig.blocks[b]) + 1), b) for b in (0, 1))
     records = []
-    for key, c in entry.items():
+    while entry:
+        key, c = entry.popitem()
         v, e = key & vmask, key & emask
         vs = vertex_sets.get(v)
         if vs is None:

@@ -788,6 +788,13 @@ class TestImports:
         then = "assert hyperzeon.conjectures.run_ryser_trials(3, 0)['violations'] == 0"
         assert loaded_after("hyperzeon.conjectures", ("hyperzeon.algebra",), then) == []
 
+    def test_frankl_trials_load_no_walks_or_oracle(self):
+        # check_frankl uses Element only; the matrix API imports walks' rows
+        # and row loop where it runs
+        then = "hyperzeon.conjectures.run_frankl_trials(3, 0)"
+        watched = ("hyperzeon.algebra", "hyperzeon.walks", "hyperzeon.oracle")
+        assert loaded_after("hyperzeon.conjectures", watched, then) == ["hyperzeon.algebra"]
+
     def test_kernel_generators_load_the_value_type(self):
         then = "assert str(hyperzeon.kernel.Signature.zeons(2).gen(0)) == 'ζ1'"
         assert loaded_after("hyperzeon.kernel", ("hyperzeon.algebra",), then) == ["hyperzeon.algebra"]

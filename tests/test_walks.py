@@ -382,10 +382,11 @@ class TestSparseRows:
         assert build_omega(h).power(3)[0][3] == blade_for(sig, h, [2, 3, 4], [1, 2, 3])
 
     def test_row_power_is_one_column_of_the_full_last_step(self, sample7):
-        # the last step over column col alone gives that column of the full
-        # k-th row, term for term and in the same order; EDGE_CASES and some
-        # random inputs have isolated vertices, and k runs from 1 to n + 2,
-        # past the early stop of the walk rows
+        # the directed row steps and the last step over column col alone give
+        # that column of the full k-th row, term for term; the cut changes
+        # which operand mul_into splits, so the insertion order may differ;
+        # EDGE_CASES and some random inputs have isolated vertices, and k
+        # runs from 1 to n + 2, past the early stop of the walk rows
         rng = random.Random(21)
         cases = [(sample7, walk_signature), (EDGE_CASES, trail_signature)]
         for signature in (walk_signature, trail_signature) * 10:
@@ -399,7 +400,7 @@ class TestSparseRows:
                     full = walks._row_steps(sig, {i: {start: 1}}, rows, k)
                     for col in range(h.n):
                         got = walks._row_power(sig, rows, i, k, start, col)
-                        assert list(got.items()) == list(full.get(col, {}).items())
+                        assert dict(got) == full.get(col, {})
 
     def test_extraction_reads_each_part_once(self):
         # four vertices joined pairwise by three parallel edges: the k = 3
@@ -414,11 +415,95 @@ class TestSparseRows:
             want = sorted(WalkRecord(support(key, 0), support(key, 1), c) for key, c in entry.items())
             got = walks._extract_records(sig, entry)
             assert got == want
+            assert entry == {}  # extraction pops each term as it builds its record
             vertex_sets, edge_sets = {}, {}
             for r in got:
                 assert vertex_sets.setdefault(r.vertex_set, r.vertex_set) is r.vertex_set
                 assert edge_sets.setdefault(r.edge_set, r.edge_set) is r.edge_set
             assert len(got) > len(vertex_sets)
+
+    def test_long_path_is_one_record_at_once(self):
+        # from 1 the cut keeps a shrinking band of the path's columns: step t
+        # forms only columns within k - t of vertex 1000
+        n = 1000
+        h = Hypergraph(n, [[v, v + 1] for v in range(1, n)])
+        start = time.perf_counter()
+        got = k_paths(h, 1, n, n - 1)
+        assert time.perf_counter() - start < 1.0
+        assert got == [WalkRecord(tuple(range(1, n + 1)), tuple(range(1, n)), 1)]
+
+    def test_far_target_forms_no_product(self, monkeypatch):
+        # on the path 1-...-8, vertex 8 is 7 steps from 1: with k = 3 and 5
+        # every column of the first step is already too far, so no product
+        # is formed; a trail may stand still, but cannot get closer either
+        h = Hypergraph(8, [[v, v + 1] for v in range(1, 8)])
+        calls = 0
+        real = walks.mul_into
+
+        def counting_mul_into(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(walks, "mul_into", counting_mul_into)
+        for k in (1, 3, 5):
+            assert k_paths(h, 1, 8, k) == k_trails(h, 1, 8, k) == []
+        assert calls == 0
+        assert k_paths(h, 1, 8, 7) == [WalkRecord(tuple(range(1, 9)), tuple(range(1, 8)), 1)]
+        assert calls > 0
+
+    def test_nilpotent_target_is_entered_last(self, sample7, monkeypatch):
+        # a path or cycle entering its target early squares the target's
+        # label to zero, so no directed step forms the target column; a
+        # trail's idempotent target label survives, and its steps form it
+        formed = []
+        row_times_matrix = walks._row_times_matrix
+
+        def recording_step(sig, row, rows, dist=None, left=0):
+            out = row_times_matrix(sig, row, rows, dist, left)
+            if dist is not None:
+                formed.extend(out)
+            return out
+
+        monkeypatch.setattr(walks, "_row_times_matrix", recording_step)
+        for run in (lambda: k_paths(sample7, 3, 4, 4), lambda: k_cycles(sample7, 4, 4)):
+            formed.clear()
+            assert run()
+            assert formed and 3 not in formed
+        formed.clear()
+        assert k_trails(sample7, 3, 4, 4)
+        assert 3 in formed
+
+    def test_target_in_another_component(self):
+        # two triangles: no column of the first reaches the second, so the
+        # entry is empty at every k, while walks within a triangle remain
+        h = Hypergraph(6, [[1, 2], [2, 3], [1, 3], [4, 5], [5, 6], [4, 6]])
+        for k in range(1, 7):
+            assert k_paths(h, 1, 5, k) == brute_paths(h, 1, 5, k) == []
+            assert k_trails(h, 1, 5, k) == brute_trails(h, 1, 5, k) == []
+        assert k_paths(h, 1, 3, 2) == [WalkRecord((1, 2, 3), (1, 2), 1)]
+        assert k_cycles(h, 4, 3) == brute_cycles(h, 4, 3)
+
+    def test_directed_steps_keep_the_target_entry(self):
+        # the cut drops columns, never terms of the target entry: _row_power
+        # equals the target column of the uncut k-th row for paths (start
+        # vertex label, nilpotent target), cycles (start 0, target = start)
+        # and trails (idempotent target)
+        rng = random.Random(33)
+        for _ in range(30):
+            h = random_hypergraph(rng, max_n=8, max_m=7)
+            for signature in (walk_signature, trail_signature):
+                sig = signature(h)
+                rows = walks._adjacency(h, sig)
+                i, col = rng.randrange(h.n), rng.randrange(h.n)
+                for k in range(1, h.n + 2):
+                    starts = [sig.mask((i + 1,), 0)]
+                    if signature is walk_signature:
+                        starts.append(0)  # a cycle's start carries no label
+                    for start, target in zip(starts, (col, i)):
+                        full = walks._row_steps(sig, {i: {start: 1}}, rows, k)
+                        got = walks._row_power(sig, rows, i, k, start, target)
+                        assert dict(got) == full.get(target, {}), (h, i, target, k)
 
     def test_part_masks_cover_whole_fields(self, sample7):
         # _extract_records takes a key's part as key & mask(ids, block), which
