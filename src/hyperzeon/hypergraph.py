@@ -111,11 +111,6 @@ class Hypergraph:
                 degs[v] += 1
         return tuple(v for v in range(1, self.n + 1) if degs[v] == 0)
 
-    def uniform_rank(self) -> int | None:
-        """Common edge size if every edge has the same size, else None."""
-        sizes = {len(e) for e in self.edges}
-        return sizes.pop() if len(sizes) == 1 else None
-
     def is_r_uniform(self, r: int) -> bool:
         return all(len(e) == r for e in self.edges)
 

@@ -287,12 +287,13 @@ def subset_products(signature: Signature, factors, depth: int | None = None, tar
     Level j is the part of the product of (1 + f) over the factors made of j
     factors: each subset is formed once, by appending factors in index order,
     so no coefficient carries the j! orderings of the j-th power of their sum.
-    Without ``depth`` the levels run until one is empty.  With ``depth``, only
-    level ``depth`` is yielded, and subsets that can no longer reach ``depth``
-    factors are dropped on the way; a depth above the number of factors
-    yields nothing.  With ``target``, a mask of first powers of idempotent or
-    index-2 generators, only products that later factors can still complete
-    to carry all of it are kept.
+    Without ``depth`` the levels run until no subset is left.  With ``depth``,
+    only level ``depth`` is yielded, and subsets that can no longer reach
+    ``depth`` factors are dropped on the way; a depth above the number of
+    factors yields nothing.  With ``target``, a mask of first powers of
+    idempotent or index-2 generators, a level holds only the products that
+    carry all of it (it may be empty), and only subsets that later factors
+    can still complete to carry it are kept.
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -315,7 +316,8 @@ def subset_products(signature: Signature, factors, depth: int | None = None, tar
             level: dict = {}
             for part in parts:
                 for m, c in part.items():
-                    level[m] = level.get(m, 0) + c
+                    if m & target == target:
+                        level[m] = level.get(m, 0) + c
             yield j, level
             if j == depth:
                 return
@@ -334,8 +336,8 @@ def subset_products(signature: Signature, factors, depth: int | None = None, tar
         j += 1
 
 
-def subset_level(signature: Signature, factors, k: int, target: int = 0) -> dict:
+def subset_level(signature: Signature, factors, k: int) -> dict:
     """Level k of :func:`subset_products`: the products of all k-subsets, or {}."""
-    for _, level in subset_products(signature, factors, k, target):
+    for _, level in subset_products(signature, factors, k):
         return level
     return {}

@@ -6,7 +6,8 @@ here the products of all k-subsets of the edge blades are formed directly
 (:func:`~hyperzeon.kernel.subset_products`), each subset once.  A product
 survives exactly when its k edges are pairwise disjoint (a shared vertex
 squares to zero), so its coefficient counts the k-matchings covering its
-vertex set.  Edge-subset views come from independent sets of the
+vertex set.  Perfect matchings sum the full-vertex-blade terms of the levels
+whose target is that blade.  Edge-subset views come from independent sets of the
 intersection graph, which also yields j-intersecting matchings.  The
 enumerators read γ's packed terms from :func:`incidence_terms`; only
 :func:`incidence_representation` wraps them as an element.
@@ -15,6 +16,7 @@ enumerators read γ's packed terms from :func:`incidence_terms`; only
 from __future__ import annotations
 
 from collections import Counter
+from math import gcd
 from typing import TYPE_CHECKING
 
 from .hypergraph import Hypergraph
@@ -62,24 +64,21 @@ def k_matchings(h: Hypergraph, k: int) -> list[tuple[tuple, int]]:
 def perfect_matching_count(h: Hypergraph) -> int:
     """Number of pairwise-disjoint edge families covering every vertex.
 
-    Reads the full-blade coefficient among the products of subsets of the
-    edge blades, with that blade as the levels' target: a family is dropped
-    as soon as a vertex it misses lies in no later edge.  An r-uniform input
-    reads level n/r alone, as the paper's γ^(n/r)/(n/r)! does, and has no
-    perfect matching when r does not divide n; any other input sums the
-    coefficient over every level.
+    Disjoint edges cover a multiple of the gcd of the edge sizes, so there is
+    none unless it divides n.  Otherwise it sums the full-blade coefficient
+    over the levels of subset products of the edge blades that target that
+    blade: a family is dropped once a vertex it misses lies in no later edge.
+    On an r-uniform input only level n/r carries the blade, the paper's
+    γ^(n/r)/(n/r)!.
     """
     _check_distinct_edges(h)
     if h.n == 0:
         return 1  # the empty family covers no vertex
+    if h.m == 0 or h.n % gcd(*map(len, h.edges)):
+        return 0
     sig, gamma = incidence_terms(h)
     full = sig.mask(range(1, h.n + 1), 0)
-    r = h.uniform_rank()
-    if r is None:
-        return sum(level.get(full, 0) for _, level in subset_products(sig, gamma, target=full))
-    if h.n % r:
-        return 0
-    return subset_level(sig, gamma, h.n // r, full).get(full, 0)
+    return sum(level.get(full, 0) for _, level in subset_products(sig, gamma, target=full))
 
 
 def j_intersecting_matchings(h: Hypergraph, j: int, k: int) -> list[tuple]:

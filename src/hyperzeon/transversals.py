@@ -9,8 +9,9 @@ j = 1, 2, ... (:func:`~hyperzeon.kernel.subset_products`): the first level
 that carries the full edge blade is the first such power of σ, its j is the
 transversal number, and the vertex index sets attached to that blade are
 exactly the minimum transversals.  No other term is read, so the full edge
-blade is the levels' target: a subset is dropped as soon as some edge it
-misses has no vertex among the factors after its last one.  Isolated vertices
+blade is the levels' target: each level holds only the terms that carry it,
+and a subset is dropped as soon as some edge it misses has no vertex among
+the factors after its last one.  Isolated vertices
 can never help cover an edge, so they get no factor; the CLI reports them from
 the hypergraph itself.
 
@@ -54,10 +55,10 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
     """(tau, every minimum-cardinality vertex set meeting all edges, sorted).
 
     Forms the products of j-subsets of the vertex factors that can still
-    meet every edge, level by level, until one carries the full edge blade.
-    At that first level every
-    full-blade vertex set has size exactly j: a smaller one would have covered
-    every edge at a lower level.  An edgeless hypergraph has the one
+    meet every edge, level by level, each level holding only the terms that
+    carry the full edge blade, until one is not empty.  Its vertex sets have
+    size exactly j, and no smaller set meets every edge, or it would have
+    appeared at a lower level.  An edgeless hypergraph has the one
     transversal (), of size 0.
     """
     if h.m == 0:
@@ -65,8 +66,7 @@ def minimum_transversals(h: Hypergraph) -> tuple[int, list[tuple]]:
     sig, sigma = transversal_terms(h)
     full_edges = sig.mask(range(1, h.m + 1), 0)
     for j, level in subset_products(sig, sigma, target=full_edges):
-        full = {key: c for key, c in level.items() if key & full_edges == full_edges}
-        hits = index_sets(sig, full, j)
+        hits = index_sets(sig, level, j)
         if hits:
             return j, hits
     raise InvariantError("no transversal found, yet every edge is non-empty")

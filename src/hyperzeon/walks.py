@@ -113,21 +113,19 @@ def _row_steps(sig: Signature, row: dict, rows: list[dict], steps: int, dist: li
 def _distances(rows: list[dict], col: int, k: int) -> list[int]:
     """d[c]: the fewest steps from column c to ``col`` over the nonzero pattern of ``rows``.
 
-    A breadth-first search from ``col`` over the reverse adjacency; it stops
-    when its frontier is empty or its depth reaches k - 1, the most steps a
-    row step of :func:`_row_power` leaves, and columns it does not reach get k.
+    A breadth-first search from ``col``; the pattern must be symmetric, as
+    :func:`_adjacency` fills it, so the columns that step into c are the keys
+    of ``rows[c]``.  It stops when its frontier is empty or its depth reaches
+    k - 1, the most steps a row step of :func:`_row_power` leaves, and columns
+    it does not reach get k.
     """
-    preds: list[list[int]] = [[] for _ in rows]
-    for l, row in enumerate(rows):
-        for c in row:
-            preds[c].append(l)
     dist = [k] * len(rows)
     dist[col], frontier, depth = 0, [col], 0
     while frontier and depth < k - 1:
         depth += 1
         nxt = []
         for c in frontier:
-            for l in preds[c]:
+            for l in rows[c]:
                 if dist[l] == k:
                     dist[l] = depth
                     nxt.append(l)
@@ -166,8 +164,8 @@ def _extract_records(sig: Signature, entry: dict) -> list[WalkRecord]:
     is the key ANDed with the block's first-power bits from ``Signature.mask``,
     which is the whole part only because every walk and trail generator is an
     index-2 nilpotent or an idempotent, whose value field is one bit wide.
-    It consumes ``entry``: each term is popped as its record is built, so the
-    entry shrinks while the records grow, and ``entry`` is empty afterwards.
+    It consumes ``entry``, popping each term as its record is built: that frees
+    the keys, not the table, since a dict never shrinks on ``popitem``.
     """
     support, vertex_sets, edge_sets = sig.support, {}, {}
     vmask, emask = (sig.mask(range(1, len(sig.blocks[b]) + 1), b) for b in (0, 1))

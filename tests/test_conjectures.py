@@ -24,7 +24,7 @@ from hyperzeon.conjectures import (
 from hyperzeon.errors import BudgetError
 from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.matchings import incidence_signature
-from hyperzeon.oracle import brute_transversals
+from hyperzeon.oracle import brute_max_matching_size, brute_transversals
 from hyperzeon.transversals import transversal_number
 
 
@@ -102,6 +102,18 @@ class TestCheckRyser:
             h = generate_ryser_instance(3, 2, 4, rng.randrange(2**32))
             report = check_ryser(h, 3, ryser_partition(3, 2))
             assert report.transversal_number == brute_transversals(h)[0]
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_matching_number_matches_oracle(self, r):
+        # nu is the deepest matching level; the oracle counts disjoint edge
+        # families directly, within its n, m <= 10 guard
+        rng = random.Random(54 + r)
+        for _ in range(25):
+            part_size = rng.randint(1, 10 // r)
+            edge_count = rng.randint(1, min(part_size**r, 10))
+            h = generate_ryser_instance(r, part_size, edge_count, rng.randrange(2**32))
+            report = check_ryser(h, r, ryser_partition(r, part_size))
+            assert report.matching_number == brute_max_matching_size(h)
 
 
 class TestCheckFrankl:

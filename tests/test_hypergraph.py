@@ -116,9 +116,7 @@ class TestQueries:
         assert h.isolated_vertices() == (2, 4)
 
     def test_uniformity(self, sample7):
-        assert sample7.uniform_rank() is None
         h = Hypergraph(4, [{1, 2}, {3, 4}])
-        assert h.uniform_rank() == 2
         assert h.is_r_uniform(2)
         assert not h.is_r_uniform(3)
 

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from conftest import random_hypergraph
+from hyperzeon import kernel
 from hyperzeon.algebra import Element, nilpotency_index
 from hyperzeon.hypergraph import MAX_SIZE, Hypergraph
 from hyperzeon.matchings import (
@@ -150,6 +151,58 @@ class TestPerfectMatchings:
         # the empty family is the one perfect matching of the empty hypergraph
         empty = Hypergraph(0, [])
         assert perfect_matching_count(empty) == brute_perfect_matchings(empty) == 1
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_uniform_count_is_the_full_blade_of_level_n_over_r(self, r):
+        # the paper's gamma^(n/r)/(n/r)!: on an r-uniform input the perfect
+        # matchings are the n/r-matchings covering every vertex, and there
+        # are none when r does not divide n; n runs past the oracle's guard
+        rng = random.Random(40 + r)
+        counted = 0
+        for n in [*range(r, 19)] * 2:
+            m = rng.randint(n, 4 * n)
+            edges = {tuple(sorted(rng.sample(range(1, n + 1), r))) for _ in range(m)}
+            h = Hypergraph(n, sorted(edges))
+            level = dict(k_matchings(h, n // r))
+            got = perfect_matching_count(h)
+            assert got == level.get(tuple(range(1, n + 1)), 0)
+            if n % r:
+                assert got == 0
+            counted += got > 0
+        assert counted >= 5
+
+    def test_edge_size_gcd_must_divide_n(self, monkeypatch):
+        # edges of sizes 2 and 4 cover an even number of vertices: on an odd
+        # vertex count no product is formed at all
+        h = Hypergraph(7, [{1, 2}, {3, 4}, {5, 6}, {1, 2, 3, 4}, {4, 5, 6, 7}, {6, 7}])
+        calls = 0
+        real = kernel.mul_into
+
+        def counting_mul_into(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "mul_into", counting_mul_into)
+        assert perfect_matching_count(h) == brute_perfect_matchings(h) == 0
+        assert perfect_matching_count(Hypergraph(5, [])) == 0
+        assert calls == 0
+        even = Hypergraph(8, [*h.edges, {7, 8}])
+        assert perfect_matching_count(even) == brute_perfect_matchings(even) == 2
+        assert calls > 0
+
+    def test_mixed_edge_sizes_against_oracle(self):
+        # sizes 2 and 4 (gcd 2) on even and odd n, inside the oracle's guard
+        rng = random.Random(34)
+        for _ in range(40):
+            n = rng.randint(1, 10)
+            sizes = [size for size in (2, 4) if size <= n]
+            edges = {
+                tuple(sorted(rng.sample(range(1, n + 1), rng.choice(sizes))))
+                for _ in range(rng.randint(0, 10) if sizes else 0)
+            }
+            h = Hypergraph(n, sorted(edges))
+            assert perfect_matching_count(h) == brute_perfect_matchings(h)
 
 
 class TestNilpotencyBound:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph, random_hypergraph, strip_isolated, vertex_set
+from hyperzeon import kernel
 from hyperzeon.algebra import nilpotency_index
 from hyperzeon.hypergraph import Hypergraph
 from hyperzeon.independent_sets import (
@@ -71,17 +72,38 @@ class TestTarget:
         factors = [sig.encode([(g, 1)]) for g in range(3)]
         assert levels(sig, factors, target=sig.encode([(3, 1)])) == {}
         assert levels(sig, factors, 2, target=sig.encode([(0, 1), (3, 1)])) == {}
-        assert subset_level(sig, factors, 1, sig.encode([(3, 1)])) == {}
+        assert levels(sig, factors, 1, target=sig.encode([(3, 1)])) == {}
 
-    def test_only_subsets_that_can_still_cover_the_target_are_kept(self):
-        # factor 1 alone holds the target: past it, a subset must already contain it
+    def test_only_subsets_that_can_still_cover_the_target_are_kept(self, monkeypatch):
+        # factor 1 alone holds the target: each level holds the subsets that
+        # contain it, and past it a subset is only extended if it already does
         sig = Signature.idempotents(4)
         factors = [sig.encode([(g, 1)]) for g in range(4)]
-        got = levels(sig, factors, target=factors[1])
-        assert got[1] == {factors[0]: 1, factors[1]: 1}
-        for j in (2, 3, 4):
+        target = factors[1]
+        pairs = 0
+        real = kernel.mul_into
+
+        def counting_mul_into(signature, acc, a, b):
+            nonlocal pairs
+            pairs += len(a) * len(b)
+            return real(signature, acc, a, b)
+
+        monkeypatch.setattr(kernel, "mul_into", counting_mul_into)
+        got = levels(sig, factors, target=target)
+        for j in (1, 2, 3, 4):
             assert got[j] == {sum(factors[g] for g in s): 1 for s in combinations(range(4), j) if 1 in s}
         assert sorted(got) == [1, 2, 3, 4]
+        # the cut search: subset s is extended by factor i > max(s) only if s
+        # together with factors i, i+1, ... can still carry the target
+        reach = [sum(factors[i:]) & target for i in range(4)]
+        formed = sum(
+            1
+            for j in range(1, 4)
+            for s in combinations(range(4), j)
+            for i in range(max(s) + 1, 4)
+            if (sum(factors[g] for g in s) | reach[i]) & target == target
+        )
+        assert pairs == formed == 7
 
     def test_target_bits_must_be_first_powers_of_idempotent_or_index_2_generators(self):
         sig = Signature([2, 3, 4, None])  # fields: bits 0-1, 2-4, 5-7, 8
@@ -94,7 +116,7 @@ class TestTarget:
                     levels(sig, factors, target=1 << bit)
         for bad in (0b10, sig.encode([(0, 1), (1, 1)]), sig.encode([(2, 1)]), -1):
             with pytest.raises(ValueError):
-                subset_level(sig, factors, 1, bad)
+                levels(sig, factors, 1, target=bad)
 
 
 @pytest.mark.parametrize("n", range(2, 15, 2))
@@ -189,6 +211,7 @@ def test_target_cut_keeps_every_full_blade_term(seed):
         for j, level in cut.items():
             # a key some of whose subsets are dropped keeps a smaller count
             assert all(0 < c <= uncut[j][key] for key, c in level.items())
+            assert all(key & full == full for key in level)
         for j, level in uncut.items():
             want = {key: c for key, c in level.items() if key & full == full}
             assert {key: c for key, c in cut.get(j, {}).items() if key & full == full} == want

@@ -505,6 +505,18 @@ class TestSparseRows:
                         got = walks._row_power(sig, rows, i, k, start, target)
                         assert dict(got) == full.get(target, {}), (h, i, target, k)
 
+    def test_adjacency_pattern_is_symmetric(self):
+        # _distances steps into column c from the keys of rows[c]: that is
+        # the reverse adjacency only while (a, b) is stored iff (b, a) is
+        rng = random.Random(35)
+        for _ in range(40):
+            h = random_hypergraph(rng, max_n=9, max_m=8)
+            for signature in (walk_signature, trail_signature):
+                rows = walks._adjacency(h, signature(h))
+                for a in range(h.n):
+                    for b in range(h.n):
+                        assert (b in rows[a]) == (a in rows[b]), (h, a, b)
+
     def test_part_masks_cover_whole_fields(self, sample7):
         # _extract_records takes a key's part as key & mask(ids, block), which
         # sets one bit per field: that is the whole part only while every walk
